@@ -17,8 +17,9 @@ The MLP execution engine follows ``config.detector_engine``:
   weighted cross-entropy objective on a fraction of the rows — caps
   them at a seeded class-preserving subsample
   (``FAST_MAX_TRAIN_ROWS``, the MiniBatchKMeans subsample idea), and
-  prediction computes one probability per unique feature row and
-  scatters it back through the codes;
+  prediction builds, scales and predicts one feature row per unique
+  key, ``FAST_PREDICT_BLOCK_ROWS`` rows at a time, and scatters the
+  probabilities back through the codes;
 * ``auto`` — resolved against the table's row count at fit time
   (``ZeroEDConfig.resolve_detector_engine``).
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ZeroEDConfig
-from repro.core.featurize import FeatureSpace
+from repro.core.featurize import FeatureSpace, unified_owners
 from repro.core.training_data import AttributeTrainingData
 from repro.data.encoding import fold_codes
 from repro.data.mask import ErrorMask
@@ -53,6 +54,11 @@ from repro.parallel import effective_jobs, parallel_map
 #: subsample idea (PR 2) applied to the detector.  The exact engine
 #: always trains on every row.
 FAST_MAX_TRAIN_ROWS = 8_192
+
+#: Fast-engine prediction block: unique-key rows are gathered, scaled
+#: and predicted this many at a time, so prediction memory is bounded
+#: by the block rather than the table.
+FAST_PREDICT_BLOCK_ROWS = 4_096
 
 
 @dataclass
@@ -75,13 +81,10 @@ def _unified_key_columns(
     guaranteed byte-identical unified rows (extra columns only split
     groups, never merge them, so over-approximating stays exact).
     """
-    owners = [attr]
-    if feature_space.config.use_correlated_features:
-        owners += feature_space.correlated.get(attr, [])
     valid = set(table.attributes)
     out: list[str] = []
     seen: set[str] = set()
-    for owner in owners:
+    for owner in unified_owners(feature_space, attr):
         featurizer = feature_space.featurizers[owner]
         deps = [owner] + list(featurizer.correlated) + [
             a for crit in featurizer.criteria for a in crit.context_attrs
@@ -272,14 +275,16 @@ class ErrorDetector:
         """Classify every cell of ``table`` as clean (False) or dirty.
 
         Serially, one workspace serves every attribute's forward pass:
-        all attributes share the table's row count and the configured
-        hidden width, so the activation tiles are allocated once and
-        reused across the whole prediction sweep.  With
-        ``config.n_jobs > 1`` the per-attribute passes fan across the
-        worker pool instead (each with its own workspace — buffer reuse
-        only affects allocation, never values) after the shared
-        base-matrix cache is warmed serially; every attribute writes a
-        disjoint mask column, so the mask is byte-identical either way.
+        its activation buffers are keyed by shape, so attributes that
+        predict equally many rows reuse them — every attribute on the
+        exact engine (each predicts all ``n_rows`` rows), and the full
+        row blocks on the fast engine (where each attribute predicts
+        its own number of unique keys).  With ``config.n_jobs > 1`` the
+        per-attribute passes fan across the worker pool instead (each
+        with its own workspace — buffer reuse only affects allocation,
+        never values) after the feature space's shared caches are
+        warmed serially; every attribute writes a disjoint mask column,
+        so the mask is byte-identical either way.
         """
         if not self._models:
             raise NotFittedError("ErrorDetector.predict called before fit")
@@ -287,9 +292,7 @@ class ErrorDetector:
         fast = self._engine == "fast"
         attrs = table.attributes
         if effective_jobs(self.config.n_jobs, len(attrs)) > 1:
-            for attr in attrs:
-                feature_space.base_matrix(attr)
-                table.encoding(attr)
+            feature_space.warm()
             parallel_map(
                 lambda attr: self._predict_attribute(
                     attr, table, feature_space, mask, Workspace(), fast
@@ -321,13 +324,13 @@ class ErrorDetector:
             if model.constant:
                 mask.matrix[:, table.attr_index(attr)] = True
             return
-        unified = feature_space.unified_matrix(attr)
         if fast:
-            # Equal feature rows get equal probabilities: predict
-            # once per unique row, scatter back.  A unified row is
-            # a pure function of its interned column codes, so the
-            # dedup key is one folded int64 array (O(n)) rather
-            # than a lexsort of the float matrix.
+            # Equal feature rows get equal probabilities: predict once
+            # per unique row, scatter back.  A unified row is a pure
+            # function of its interned column codes, so the dedup key
+            # is one folded int64 array (O(n)), found before any
+            # feature row exists; only the unique-key rows are then
+            # built, scaled and predicted, a fixed block at a time.
             key = fold_codes(
                 [
                     table.encoding(a)
@@ -339,13 +342,20 @@ class ErrorDetector:
             _, first_rows, inverse = np.unique(
                 key, return_index=True, return_inverse=True
             )
-            proba = model.mlp.predict_proba(
-                model.scaler.transform(unified[first_rows]),
-                workspace=workspace,
-            )[inverse]
+            proba = np.empty(len(first_rows))
+            for start in range(0, len(first_rows), FAST_PREDICT_BLOCK_ROWS):
+                rows = first_rows[start : start + FAST_PREDICT_BLOCK_ROWS]
+                proba[start : start + len(rows)] = model.mlp.predict_proba(
+                    model.scaler.transform(
+                        feature_space.unified_matrix(attr, rows)
+                    ),
+                    workspace=workspace,
+                )
+            proba = proba[inverse]
         else:
             proba = model.mlp.predict_proba(
-                model.scaler.transform(unified), workspace=workspace
+                model.scaler.transform(feature_space.unified_matrix(attr)),
+                workspace=workspace,
             )
         mask.matrix[:, table.attr_index(attr)] = (
             proba >= self.config.decision_threshold

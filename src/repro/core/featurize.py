@@ -22,12 +22,21 @@ pattern features are computed once per distinct value and scattered to
 rows with ``feats[codes]``, vicinity frequencies come from sparse
 joint counts over ``(codes_q, codes_attr)`` pairs, and embeddings and
 criteria likewise evaluate distinct values/combos only.
+
+An attribute's base features over a table are held as
+:class:`BaseBlocks`: the value-only columns once per distinct value,
+the row-dependent columns (vicinity, criteria) once per row.  Full
+``n × width`` base rows are assembled from the blocks only where a
+consumer reads them, and every consumer — fit-time base matrices,
+ad-hoc augmented examples, score-time unified rows — goes through the
+same assembly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +47,55 @@ from repro.data.stats import AttributeStats
 from repro.data.table import Table
 from repro.text.embeddings import SubwordHashEmbedding
 from repro.text.patterns import all_levels
+
+
+@dataclass(frozen=True, eq=False)
+class BaseBlocks:
+    """One attribute's base features over one table, in two blocks.
+
+    Base rows lay out ``frequency (4) | vicinity (k) | embedding (dim) |
+    criteria (c)``.  Frequency/pattern and embedding columns are pure
+    functions of the cell value, so ``per_value`` holds them once per
+    distinct value and rows pick theirs through ``codes``; vicinity
+    ratios and criteria verdicts read the row's other cells, so
+    ``per_row`` holds them for every row.  A disabled block contributes
+    no columns; with every block disabled ``per_row`` is the single
+    zero column that keeps downstream shapes valid.
+    """
+
+    codes: np.ndarray
+    per_value: np.ndarray
+    per_row: np.ndarray
+    n_freq: int
+    n_vicinity: int
+
+    def parts(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """The base columns of ``rows`` (every row when ``None``) as
+        four column groups in base order; concatenated along axis 1
+        they are the base rows."""
+        if rows is None:
+            codes, per_row = self.codes, self.per_row
+        else:
+            codes = self.codes[rows]
+            per_row = self.per_row.take(rows, axis=0)
+        per_value = self.per_value.take(codes, axis=0)
+        f, v = self.n_freq, self.n_vicinity
+        return [
+            per_value[:, :f], per_row[:, :v], per_value[:, f:], per_row[:, v:]
+        ]
+
+    def take(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Base rows for ``rows`` (every row when ``None``)."""
+        return np.concatenate(self.parts(rows), axis=1)
+
+
+def unified_owners(feature_space, attr: str) -> list[str]:
+    """Attributes whose base rows make up ``attr``'s unified row, in
+    column order: ``attr`` itself, then its correlated attributes."""
+    owners = [attr]
+    if feature_space.config.use_correlated_features:
+        owners += feature_space.correlated.get(attr, [])
+    return owners
 
 
 class AttributeFeaturizer:
@@ -203,63 +261,69 @@ class AttributeFeaturizer:
         self.criteria = list(criteria)
 
     # ------------------------------------------------------------------
-    def base_matrix(self, table: Table) -> np.ndarray:
-        """Base features for every row of ``table``'s ``attr`` column.
+    def base_blocks(self, table: Table) -> BaseBlocks:
+        """Base features of ``table``'s ``attr`` column, as two blocks.
 
-        Works per *unique* value on the table's interned codes and
-        scatters back to rows — O(n_unique) Python work plus O(n_rows)
-        NumPy gathers.  The frequency/vicinity statistics always come
-        from the construction table; ``table``'s codes only say which
-        rows carry which value.
+        Works per *unique* value on the table's interned codes —
+        O(n_unique) Python work plus O(n_rows) NumPy gathers for the
+        narrow per-row block.  The frequency/vicinity statistics always
+        come from the construction table; ``table``'s codes only say
+        which rows carry which value.
         """
-        n = table.n_rows
         enc_a = table.encoding(self.attr)
-        config = self.config
-        use_semantic = config.use_semantic_features and self.embedding is not None
-        width = 0
-        any_block = False
-        if config.use_statistical_features:
-            width += 4 + len(self._vicinity_joint)
-            any_block = True
-        if use_semantic:
-            width += self.embedding.dim
-            any_block = True
-        if config.use_criteria_features:
-            width += len(self.criteria)
-            any_block = True
-        if not any_block:
-            return np.zeros((n, 1))
-        # Fill one preallocated matrix instead of hstacking blocks —
-        # the block matrices are wide, and hstack would copy them all
-        # a second time.
-        out = np.empty((n, width))
-        col = 0
-        if config.use_statistical_features:
-            uniq_freqs = np.asarray(
-                [self._frequency_features(u) for u in enc_a.uniques]
-            ).reshape(enc_a.n_unique, 4)
-            out[:, :4] = uniq_freqs[enc_a.codes]
-            for k, q in enumerate(self._vicinity_joint):
+        row_columns: list[np.ndarray] = []
+        if self.config.use_statistical_features:
+            for q in self._vicinity_joint:
                 same_encodings = (
                     enc_a is self._enc_a
                     and table.encoding(q) is self._vicinity_joint[q][0]
                 )
-                if same_encodings:
-                    out[:, 4 + k] = self._vicinity_fast[q]
-                else:
-                    out[:, 4 + k] = self._vicinity_column(table, q, enc_a)
-            col = 4 + len(self._vicinity_joint)
-        if use_semantic:
-            dim = self.embedding.dim
-            out[:, col : col + dim] = self.embedding.embed_uniques(
-                enc_a.uniques
-            )[enc_a.codes]
-            col += dim
-        if config.use_criteria_features:
-            for c in self.criteria:
-                out[:, col] = c.evaluate_column(table)
-                col += 1
-        return out
+                row_columns.append(
+                    self._vicinity_fast[q]
+                    if same_encodings
+                    else self._vicinity_column(table, q, enc_a)
+                )
+        if self.config.use_criteria_features:
+            row_columns += [c.evaluate_column(table) for c in self.criteria]
+        return self._blocks(enc_a, row_columns)
+
+    def base_matrix(self, table: Table) -> np.ndarray:
+        """Base features for every row of ``table``'s ``attr`` column
+        (:meth:`base_blocks`, assembled)."""
+        return self.base_blocks(table).take()
+
+    def _blocks(
+        self, enc: ColumnEncoding, row_columns: list[np.ndarray]
+    ) -> BaseBlocks:
+        """Blocks over ``enc``'s values plus the given per-row columns
+        (vicinity ratios, then criteria verdicts)."""
+        config = self.config
+        value_blocks = []
+        if config.use_statistical_features:
+            value_blocks.append(
+                np.asarray(
+                    [self._frequency_features(u) for u in enc.uniques]
+                ).reshape(enc.n_unique, 4)
+            )
+        if config.use_semantic_features and self.embedding is not None:
+            value_blocks.append(self.embedding.embed_uniques(enc.uniques))
+        if not (value_blocks or row_columns):
+            row_columns = [np.zeros(enc.n_rows)]
+        per_row = np.empty((enc.n_rows, len(row_columns)))
+        for k, column in enumerate(row_columns):
+            per_row[:, k] = column
+        stats = config.use_statistical_features
+        return BaseBlocks(
+            codes=enc.codes,
+            per_value=(
+                np.hstack(value_blocks)
+                if value_blocks
+                else np.empty((enc.n_unique, 0))
+            ),
+            per_row=per_row,
+            n_freq=4 if stats else 0,
+            n_vicinity=len(self._vicinity_joint) if stats else 0,
+        )
 
     def _vicinity_column(self, table: Table, q: str, enc_a) -> np.ndarray:
         """P(value | q's value) per row, via distinct (q, attr) pairs."""
@@ -315,69 +379,35 @@ class AttributeFeaturizer:
         """Base features for ad-hoc ``(value, row-context)`` pairs.
 
         The batch form of :meth:`base_vector` — bit-identical output,
-        assembled with the interning treatment instead of one
-        concatenate per pair: frequency/pattern and embedding features
-        are pure functions of the value, so they are computed once per
-        *unique* value and scattered to pairs with one gather; vicinity
-        ratios depend on the row context and stay per-pair (two dict
-        lookups each); criteria evaluate through
-        :meth:`~repro.criteria.Criterion.evaluate_values`, once per
-        distinct (value, context) combo.
+        assembled from :class:`BaseBlocks` like a table column instead
+        of one concatenate per pair: the ad-hoc values are factorized,
+        frequency/pattern and embedding features are computed once per
+        *unique* value; vicinity ratios depend on the row context and
+        stay per-pair (two dict lookups each); criteria evaluate
+        through :meth:`~repro.criteria.Criterion.evaluate_values`, once
+        per distinct (value, context) combo.
         """
-        n = len(values)
-        if n != len(rows):
+        if len(values) != len(rows):
             raise ValueError("values and rows must align")
-        config = self.config
-        use_semantic = (
-            config.use_semantic_features and self.embedding is not None
-        )
-        if not (
-            config.use_statistical_features
-            or use_semantic
-            or config.use_criteria_features
-        ):
-            return np.zeros((n, 1))
-        # Factorize the ad-hoc values like any table column.
-        enc = ColumnEncoding.from_values(list(values))
-        codes, uniques = enc.codes, enc.uniques
-        width = 0
-        if config.use_statistical_features:
-            width += 4 + len(self._vicinity_joint)
-        if use_semantic:
-            width += self.embedding.dim
-        if config.use_criteria_features:
-            width += len(self.criteria)
-        out = np.empty((n, width))
-        col = 0
-        if config.use_statistical_features:
-            uniq_freqs = np.asarray(
-                [self._frequency_features(u) for u in uniques]
-            ).reshape(len(uniques), 4)
-            out[:, :4] = uniq_freqs[codes]
-            col = 4
-            for q in self._vicinity:
-                pair_counts, lhs_counts = self._vicinity[q]
-                column = out[:, col]
-                for pos, (value, row) in enumerate(zip(values, rows)):
+        row_columns: list[np.ndarray] = []
+        if self.config.use_statistical_features:
+            for q, (pair_counts, lhs_counts) in self._vicinity.items():
+                ratios = []
+                for value, row in zip(values, rows):
                     lhs = row.get(q, "")
                     denom = lhs_counts.get(lhs, 0)
-                    column[pos] = (
+                    ratios.append(
                         pair_counts.get((lhs, value), 0) / denom
                         if denom
                         else 0.0
                     )
-                col += 1
-        if use_semantic:
-            dim = self.embedding.dim
-            out[:, col : col + dim] = self.embedding.embed_uniques(uniques)[
-                codes
+                row_columns.append(np.asarray(ratios, dtype=float))
+        if self.config.use_criteria_features:
+            row_columns += [
+                c.evaluate_values(values, rows) for c in self.criteria
             ]
-            col += dim
-        if config.use_criteria_features:
-            for c in self.criteria:
-                out[:, col] = c.evaluate_values(values, rows)
-                col += 1
-        return out
+        enc = ColumnEncoding.from_values(list(values))
+        return self._blocks(enc, row_columns).take()
 
     def _frequency_features(
         self, value: str
@@ -394,7 +424,13 @@ class AttributeFeaturizer:
 
 
 class FeatureSpace:
-    """Unified feature representations for every attribute of a table."""
+    """Unified feature representations for every attribute of a table.
+
+    Caches each attribute's full base matrix: fitting reads them many
+    times (clustering, verification, assembly) on a table it holds
+    anyway.  Scoring uses :class:`repro.serving.scorer.FrozenFeatureSpace`,
+    which caches only :class:`BaseBlocks`.
+    """
 
     def __init__(
         self,
@@ -442,12 +478,22 @@ class FeatureSpace:
         """Drop the cached base matrix (after criteria refinement)."""
         self._base_cache.pop(attr, None)
 
-    def unified_matrix(self, attr: str) -> np.ndarray:
-        """``f_base(cell) ⊕ f_base(correlated cells)`` for every row."""
-        parts = [self.base_matrix(attr)]
-        if self.config.use_correlated_features:
-            for q in self.correlated.get(attr, []):
-                parts.append(self.base_matrix(q))
+    def warm(self) -> None:
+        """Build every attribute's encoding and base matrix serially, so
+        a thread fan-out over attributes only reads the shared caches
+        (unified matrices concatenate other attributes' base rows)."""
+        for attr in self.table.attributes:
+            self.table.encoding(attr)
+            self.base_matrix(attr)
+
+    def unified_matrix(
+        self, attr: str, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``f_base(cell) ⊕ f_base(correlated cells)`` for every row, or
+        for ``rows`` only."""
+        parts = [self.base_matrix(a) for a in unified_owners(self, attr)]
+        if rows is not None:
+            parts = [part[rows] for part in parts]
         return np.hstack(parts)
 
     def unified_rows(

@@ -246,11 +246,7 @@ class ZeroED:
         def do_sampling() -> dict[str, SamplingResult]:
             n_clusters = config.clusters_for(table.n_rows)
             if parallel:
-                # Warm the shared base-matrix cache serially (unified
-                # matrices concatenate other attributes' base blocks)
-                # so workers only read it.
-                for attr in table.attributes:
-                    feature_space.base_matrix(attr)
+                feature_space.warm()
             return parallel_attr_map(
                 lambda attr: sample_representatives(
                     feature_space.unified_matrix(attr),
@@ -341,10 +337,9 @@ class ZeroED:
             )
             if parallel:
                 # Criteria refinement invalidated base matrices; warm
-                # the rebuilt cache serially before assembly workers
-                # gather correlated blocks from it.
-                for attr in table.attributes:
-                    feature_space.base_matrix(attr)
+                # the rebuilt cache before assembly workers gather
+                # correlated blocks from it.
+                feature_space.warm()
             return parallel_attr_map(
                 lambda attr: assemble_training_data(
                     llm=llm,

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 import re
+import resource
+import sys
 import threading
 from collections.abc import Callable, Sequence
 
@@ -351,3 +353,28 @@ class MetricsRegistry:
 #: Content-Type for the text exposition (what Prometheus scrapers send
 #: in Accept and expect back).
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def process_memory_bytes() -> tuple[int, int]:
+    """``(resident, peak resident)`` bytes of this process.
+
+    Read from ``VmRSS`` / ``VmHWM`` in ``/proc/self/status``; where
+    that file does not exist, both fall back to the peak that
+    ``resource.getrusage`` reports (kilobytes on Linux, bytes on
+    macOS), the only resident figure it has.
+    """
+    found: dict[str, int] = {}
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                key, _, rest = line.partition(":")
+                if key in ("VmRSS", "VmHWM"):
+                    found[key] = int(rest.split()[0]) * 1024
+    except OSError:
+        pass
+    if len(found) == 2:
+        return found["VmRSS"], found["VmHWM"]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform != "darwin":
+        peak *= 1024
+    return peak, peak

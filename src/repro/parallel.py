@@ -10,10 +10,10 @@ collects results in attribute order.
 
 Threads, not processes: the workers are NumPy/BLAS-bound (GEMMs release
 the GIL) and share large read-only state — the table, its interned
-column encodings, the feature-space base-matrix cache — that processes
-would have to pickle per worker.  Callers pre-warm any *lazily built*
-shared caches serially before fanning out (see
-``core/pipeline.py``), so workers only read them; the remaining shared
+column encodings, the feature space's cached base features — that
+processes would have to pickle per worker.  Callers pre-warm any
+*lazily built* shared caches serially before fanning out (the feature
+spaces' ``warm()``), so workers only read them; the remaining shared
 writes are idempotent memoizations of pure functions (same key, same
 value), which cannot change results regardless of interleaving.
 

@@ -9,15 +9,16 @@ batches the fit never saw.  The path is deliberately narrow:
   facts: value-frequency tables, vicinity lookup dicts, compiled
   criteria, trained MLP parameters;
 * **unique-value folds** — featurization routes through the same
-  interned fast paths the pipeline uses (``base_matrix`` computes
+  interned fast paths the pipeline uses (``base_blocks`` computes
   frequency/pattern/embedding features once per distinct value and
-  criteria once per distinct (value, context) combo, scattering by the
-  score table's column codes), and the fast detector engine runs one
-  MLP forward pass per unique feature row;
-* **per-attribute fan-out** — base matrices and detector prediction
+  criteria once per distinct (value, context) combo), and the fast
+  detector engine builds, scales and predicts only one unified row per
+  unique key, in fixed row blocks, so scoring memory follows the
+  distinct values and keys rather than the row count;
+* **per-attribute fan-out** — feature blocks and detector prediction
   fan across ``config.n_jobs`` workers through :mod:`repro.parallel`,
-  with the shared caches (encodings, base matrices) pre-warmed
-  serially, the same determinism contract as the pipeline.
+  with the shared column encodings built serially first, the same
+  determinism contract as the pipeline.
 
 A scorer built from a saved-then-loaded artifact produces masks
 bitwise equal to the in-memory scorer — and, scoring the training
@@ -35,7 +36,11 @@ import numpy as np
 
 from repro.config import ZeroEDConfig
 from repro.core.detector import ErrorDetector
-from repro.core.featurize import AttributeFeaturizer
+from repro.core.featurize import (
+    AttributeFeaturizer,
+    BaseBlocks,
+    unified_owners,
+)
 from repro.core.result import DetectionResult, StageInfo
 from repro.data.table import Table
 from repro.errors import ArtifactError
@@ -46,12 +51,19 @@ from repro.parallel import parallel_attr_map
 class FrozenFeatureSpace:
     """A feature space over *frozen* featurizers and a score table.
 
-    Shaped like :class:`~repro.core.featurize.FeatureSpace` for the
-    consumers prediction needs (``base_matrix`` / ``unified_matrix`` /
-    ``featurizers`` / ``correlated`` / ``config``), but built from a
-    fitted pipeline's featurizers instead of from the table itself:
-    every statistic comes from training time, the table only says which
-    rows carry which values.
+    Shaped like :class:`~repro.core.featurize.FeatureSpace` for what
+    prediction reads (``unified_matrix`` / ``warm`` / ``featurizers`` /
+    ``correlated`` / ``config``), but built from a fitted pipeline's
+    featurizers instead of from the table itself: every statistic comes
+    from training time, the table only says which rows carry which
+    values.
+
+    It caches each attribute's :class:`~repro.core.featurize.BaseBlocks`
+    — value-only features once per distinct value plus a narrow
+    per-row vicinity/criteria block — and never an ``n × width`` base
+    matrix.  Unified rows are assembled from the blocks on demand: for
+    every row (exact engine), or only for the rows asked for (the fast
+    engine's unique-key row blocks).
     """
 
     def __init__(
@@ -65,21 +77,34 @@ class FrozenFeatureSpace:
         self.featurizers = featurizers
         self.correlated = correlated
         self.config = config
-        self._base_cache: dict[str, np.ndarray] = {}
+        self._blocks: dict[str, BaseBlocks] = {}
 
-    def base_matrix(self, attr: str) -> np.ndarray:
-        cached = self._base_cache.get(attr)
+    def blocks(self, attr: str) -> BaseBlocks:
+        cached = self._blocks.get(attr)
         if cached is None:
-            cached = self.featurizers[attr].base_matrix(self.table)
-            self._base_cache[attr] = cached
+            cached = self.featurizers[attr].base_blocks(self.table)
+            self._blocks[attr] = cached
         return cached
 
-    def unified_matrix(self, attr: str) -> np.ndarray:
-        parts = [self.base_matrix(attr)]
-        if self.config.use_correlated_features:
-            for q in self.correlated.get(attr, []):
-                parts.append(self.base_matrix(q))
-        return np.hstack(parts)
+    def warm(self) -> None:
+        """Build every attribute's encoding and blocks serially, so a
+        thread fan-out over attributes only reads the shared caches."""
+        for attr in self.table.attributes:
+            self.table.encoding(attr)
+            self.blocks(attr)
+
+    def unified_matrix(
+        self, attr: str, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Unified rows of ``attr`` for every row, or for ``rows`` only."""
+        return np.concatenate(
+            [
+                part
+                for owner in unified_owners(self, attr)
+                for part in self.blocks(owner).parts(rows)
+            ],
+            axis=1,
+        )
 
 
 class BatchScorer:
@@ -226,14 +251,15 @@ class BatchScorer:
             fs = FrozenFeatureSpace(
                 table, self.featurizers, self.correlated, self.config
             )
-            # Pre-warm the shared lazy caches serially (column
-            # encodings, vicinity lookup dicts) so the fan-out below
-            # only reads them; base matrices are per-attribute
-            # independent after that.
+            # Column encodings are shared across attributes (vicinity
+            # and criteria read other columns), so build them serially
+            # first; after that each attribute's blocks touch only its
+            # own featurizer, criteria and cache slot, and the fan-out
+            # below builds them in parallel.
             for attr in self.attributes:
                 table.encoding(attr)
             parallel_attr_map(
-                fs.base_matrix,
+                fs.blocks,
                 self.attributes,
                 self.config.n_jobs,
                 span="base_matrix",

@@ -91,7 +91,11 @@ from pathlib import Path
 from repro.errors import ArtifactError, ReproError
 from repro.obs import log as obs_log
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry, PROMETHEUS_CONTENT_TYPE
+from repro.obs.metrics import (
+    MetricsRegistry,
+    PROMETHEUS_CONTENT_TYPE,
+    process_memory_bytes,
+)
 from repro.serving.scorer import BatchScorer
 from repro.serving.workers import WorkerPool, WorkerPoolBroken
 
@@ -588,6 +592,14 @@ class ScoringService:
         self._m_workers = m.gauge(
             "repro_worker_processes", "Scoring worker processes"
         )
+        self._m_rss = m.gauge(
+            "repro_process_resident_bytes",
+            "Resident memory of the serving process",
+        )
+        self._m_peak_rss = m.gauge(
+            "repro_process_peak_resident_bytes",
+            "Peak resident memory of the serving process since start",
+        )
         self._m_reg = {
             stat: m.counter(
                 f"repro_registry_{stat}_total",
@@ -645,6 +657,9 @@ class ScoringService:
         self._m_draining.set(1 if self._draining else 0)
         self._m_uptime.set(round(time.time() - self.started_at, 3))
         self._m_workers.set(self.n_workers)
+        resident, peak = process_memory_bytes()
+        self._m_rss.set(resident)
+        self._m_peak_rss.set(peak)
         if self._registry is not None:
             snap = self._registry.snapshot()
             for stat, counter in self._m_reg.items():

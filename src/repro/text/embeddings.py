@@ -27,6 +27,12 @@ import numpy as np
 
 from repro.text.tokenize import char_ngrams, tokenize
 
+#: Unseen tokens resolved per vector-table gather.  One gather holds
+#: ``tokens × grams × dim`` floats, so a column of long distinct tokens
+#: (account numbers: ~28 grams each) would otherwise allocate hundreds
+#: of MB at once.
+RESOLVE_BLOCK_TOKENS = 1_024
+
 
 def _stable_hash(text: str) -> int:
     """Deterministic 64-bit hash, independent of PYTHONHASHSEED."""
@@ -128,8 +134,9 @@ class SubwordHashEmbedding:
     def _resolve_tokens(self, tokens: list[str]) -> dict[str, np.ndarray]:
         """Vectors for ``tokens``, computing unseen ones in batches.
 
-        Unseen tokens are grouped by gram count so each group costs one
-        fancy-indexed ``mean(axis=1)`` — bit-identical to the per-token
+        Unseen tokens are grouped by gram count so each block of up to
+        ``RESOLVE_BLOCK_TOKENS`` tokens costs one fancy-indexed
+        ``mean(axis=1)`` — bit-identical to the per-token
         ``mean(axis=0)`` (same elements, same reduction order) but
         without per-token NumPy call overhead.
         """
@@ -150,13 +157,15 @@ class SubwordHashEmbedding:
                     (t, self._bucket_rows(grams))
                 )
         for entries in by_count.values():
-            idx = np.array([rows for _, rows in entries], dtype=np.intp)
-            vecs = self._table[idx].mean(axis=1)
-            vecs.setflags(write=False)
-            for (t, _), vec in zip(entries, vecs):
-                out[t] = vec
-                if len(cache) < 200_000:
-                    cache[t] = vec
+            for start in range(0, len(entries), RESOLVE_BLOCK_TOKENS):
+                block = entries[start : start + RESOLVE_BLOCK_TOKENS]
+                idx = np.array([rows for _, rows in block], dtype=np.intp)
+                vecs = self._table[idx].mean(axis=1)
+                vecs.setflags(write=False)
+                for (t, _), vec in zip(block, vecs):
+                    out[t] = vec
+                    if len(cache) < 200_000:
+                        cache[t] = vec
         return out
 
     def embed(self, value: str) -> np.ndarray:

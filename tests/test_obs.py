@@ -32,6 +32,7 @@ from repro.core.pipeline import ZeroED
 from repro.data.registry import get_dataset
 from repro.errors import ConfigError
 from repro.obs import log as obs_log
+from repro.obs import metrics
 from repro.obs import trace
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
@@ -272,6 +273,17 @@ class TestMetrics:
         assert "# TYPE repro_weird gauge" in text
         assert 'name="he said \\"hi\\"\\n"' in text
 
+    def test_process_memory_reads_proc_or_falls_back(self, monkeypatch):
+        resident, peak = metrics.process_memory_bytes()
+        assert 0 < resident <= peak
+
+        def no_proc(*args, **kwargs):
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(metrics, "open", no_proc, raising=False)
+        resident, peak = metrics.process_memory_bytes()
+        assert resident == peak > 0
+
 
 # ---------------------------------------------------------------------
 # Structured logging
@@ -493,7 +505,10 @@ class TestMetricsEndpoint:
 
     def test_core_serving_metrics_present(self, obs_service):
         _, _, text = _fetch(obs_service.url + "/metrics")
-        _helps, types, _samples = parse_prometheus(text)
+        _helps, types, samples = parse_prometheus(text)
+        resident = samples[("repro_process_resident_bytes", ())]
+        peak = samples[("repro_process_peak_resident_bytes", ())]
+        assert 0 < resident <= peak
         for name, type_name in {
             "repro_score_requests_total": "counter",
             "repro_batches_total": "counter",
@@ -504,6 +519,8 @@ class TestMetricsEndpoint:
             "repro_queue_rows": "gauge",
             "repro_uptime_seconds": "gauge",
             "repro_worker_processes": "gauge",
+            "repro_process_resident_bytes": "gauge",
+            "repro_process_peak_resident_bytes": "gauge",
             "repro_registry_hits_total": "counter",
             "repro_fit_llm_tokens_total": "counter",
             "repro_llm_retries_total": "counter",
