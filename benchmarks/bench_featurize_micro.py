@@ -63,7 +63,9 @@ def bench_size(n_rows: int, repeats: int, sample: bool) -> dict:
     featurize_times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        feature_space = FeatureSpace(table, stats, correlated, criteria, config)
+        feature_space = FeatureSpace.from_table(
+            table, stats, correlated, criteria, config
+        )
         for attr in table.attributes:
             feature_space.unified_matrix(attr)
         featurize_times.append(time.perf_counter() - t0)

@@ -78,7 +78,7 @@ def build_matrices(n_rows: int) -> dict[str, np.ndarray]:
     stats = compute_all_stats(table)
     correlated = correlated_attributes(table, config.n_correlated, seed=0)
     criteria = generate_initial_criteria(llm, table, correlated, config)
-    fs = FeatureSpace(table, stats, correlated, criteria, config)
+    fs = FeatureSpace.from_table(table, stats, correlated, criteria, config)
     return {attr: fs.unified_matrix(attr) for attr in table.attributes}
 
 

@@ -88,7 +88,7 @@ def build_state(n_rows: int, seed: int = 0) -> dict:
     stats = compute_all_stats(table)
     correlated = correlated_attributes(table, config.n_correlated, seed=seed)
     criteria = generate_initial_criteria(llm, table, correlated, config)
-    fs = FeatureSpace(table, stats, correlated, criteria, config)
+    fs = FeatureSpace.from_table(table, stats, correlated, criteria, config)
     n_clusters = config.clusters_for(table.n_rows)
     sampling = {
         attr: sample_representatives(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ZeroEDConfig
-from repro.core.featurize import FeatureSpace, unified_owners
+from repro.core.featurize import FeatureSpace
 from repro.core.training_data import AttributeTrainingData
 from repro.data.encoding import fold_codes
 from repro.data.mask import ErrorMask
@@ -84,7 +84,7 @@ def _unified_key_columns(
     valid = set(table.attributes)
     out: list[str] = []
     seen: set[str] = set()
-    for owner in unified_owners(feature_space, attr):
+    for owner in feature_space.unified_owners(attr):
         featurizer = feature_space.featurizers[owner]
         deps = [owner] + list(featurizer.correlated) + [
             a for crit in featurizer.criteria for a in crit.context_attrs

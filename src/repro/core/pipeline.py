@@ -13,10 +13,11 @@ subsystem, PR 5):
 * :meth:`ZeroED.fit` runs the expensive LLM-guided phase (Steps 1-4 up
   to detector training) and returns a :class:`FittedZeroED`;
 * :meth:`FittedZeroED.score` applies the fitted per-attribute detectors
-  to a table — the training table itself (byte-identical to the
-  historical single-shot path) or *unseen* rows featurized against the
-  frozen training statistics, with zero LLM calls;
-* :meth:`ZeroED.detect` is fit-then-score, masks byte-identical to the
+  to any table through the one scoring path,
+  :class:`repro.serving.scorer.BatchScorer`: cells are featurized
+  against the frozen training statistics, with zero LLM calls;
+* :meth:`ZeroED.detect` is ``fit().scorer().score_table()`` on the same
+  table plus the fit's provenance; its masks are byte-identical to the
   pre-split implementation (hash-pinned in
   ``tests/test_feature_equivalence.py``).
 
@@ -35,7 +36,11 @@ from repro.config import ZeroEDConfig
 from repro.core.correlation import correlated_attributes
 from repro.core.criteria_step import generate_initial_criteria
 from repro.core.detector import ErrorDetector
-from repro.core.featurize import FeatureSpace
+from repro.core.featurize import (
+    AttributeFeaturizer,
+    FeatureSpace,
+    shared_embedding,
+)
 from repro.core.guidelines import build_guideline
 from repro.core.labeling import label_representatives
 from repro.core.result import DetectionResult, StageInfo
@@ -57,6 +62,7 @@ from repro.obs import log as obs_log
 from repro.obs import session as obs_session
 from repro.obs import trace
 from repro.parallel import effective_jobs, parallel_attr_map
+from repro.text.embeddings import SubwordHashEmbedding
 
 _log = obs_log.get_logger("repro.core.pipeline")
 
@@ -239,7 +245,9 @@ class ZeroED:
         )
         feature_space = run_stage(
             "features",
-            lambda: FeatureSpace(table, stats, correlated, criteria, config),
+            lambda: FeatureSpace.from_table(
+                table, stats, correlated, criteria, config
+            ),
         )
 
         # --- Step 2: sampling and holistic LLM labeling ----------------
@@ -336,8 +344,8 @@ class ZeroED:
                 span="verify",
             )
             if parallel:
-                # Criteria refinement invalidated base matrices; warm
-                # the rebuilt cache before assembly workers gather
+                # Criteria refinement invalidated blocks; warm the
+                # rebuilt cache before assembly workers gather
                 # correlated blocks from it.
                 feature_space.warm()
             return parallel_attr_map(
@@ -389,7 +397,9 @@ class ZeroED:
             config=config,
             llm=llm,
             table=table,
-            feature_space=feature_space,
+            featurizers=feature_space.featurizers,
+            correlated=correlated,
+            embedding=shared_embedding(config),
             detector=detector,
             training=training,
             stages=stages,
@@ -436,12 +446,14 @@ class ZeroED:
 
 class FittedZeroED:
     """A trained ZeroED pipeline: per-attribute detectors plus the
-    frozen feature statistics needed to score tables without any LLM.
+    frozen featurizers needed to score tables without any LLM.
 
-    Produced by :meth:`ZeroED.fit`.  Scoring the training table reuses
-    the fit-time feature space (byte-identical masks to the historical
-    ``detect``); any other table is featurized against the frozen
-    training statistics through :class:`repro.serving.scorer.BatchScorer`.
+    Produced by :meth:`ZeroED.fit`.  Holds what :meth:`scorer` and
+    :meth:`save` read — featurizers over the frozen training
+    statistics, correlated attributes, the embedding model, detectors —
+    and no feature blocks of the training table: every table, that one
+    included, is featurized afresh through
+    :class:`repro.serving.scorer.BatchScorer`.
     """
 
     def __init__(
@@ -450,7 +462,9 @@ class FittedZeroED:
         config: ZeroEDConfig,
         llm: LLMClient,
         table: Table,
-        feature_space: FeatureSpace,
+        featurizers: dict[str, AttributeFeaturizer],
+        correlated: dict[str, list[str]],
+        embedding: SubwordHashEmbedding | None,
         detector: ErrorDetector,
         training: dict[str, AttributeTrainingData],
         stages: list[StageInfo],
@@ -460,7 +474,9 @@ class FittedZeroED:
         self.config = config
         self.llm = llm
         self.table = table
-        self.feature_space = feature_space
+        self.featurizers = featurizers
+        self.correlated = correlated
+        self.embedding = embedding
         self.detector = detector
         self.training = training
         self.stages = stages
@@ -476,25 +492,20 @@ class FittedZeroED:
     def score(self, table: Table) -> DetectionResult:
         """Score every cell of ``table`` with the fitted detectors.
 
-        The training table itself goes through the fit-time feature
-        space — one detector prediction pass, byte-identical to the
-        single-shot ``detect`` masks.  Any other table routes through
-        :meth:`scorer`, which featurizes its values against the frozen
-        training statistics (zero LLM calls, no sampling).
+        Every table goes through :meth:`scorer`, which featurizes its
+        values against the frozen training statistics (zero LLM calls,
+        no sampling).  Scoring the fit's own table is ``detect``: the
+        result then also carries the fit's provenance — method, the fit
+        stages before the scoring ones, token counts and details.
         """
+        result = self.scorer().score_table(table)
         if table is not self.table:
-            return self.scorer().score_table(table)
-        with trace.span(
-            "predict", dataset=table.name, rows=table.n_rows
-        ) as sp:
-            mask = self.detector.predict(table, self.feature_space)
-        stages = list(self.stages) + [StageInfo("predict", sp.seconds, 0, 0)]
+            return result
         ledger = self.ledger_summary
-        return DetectionResult(
-            mask=mask,
-            dataset=table.name,
+        return dataclasses.replace(
+            result,
             method=f"zeroed[{self.llm.model_name}]",
-            stages=stages,
+            stages=list(self.stages) + result.stages,
             n_llm_requests=ledger["requests"],
             input_tokens=ledger["input_tokens"],
             output_tokens=ledger["output_tokens"],

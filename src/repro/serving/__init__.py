@@ -23,7 +23,7 @@ from repro.serving.artifact import (
     DetectorArtifact,
 )
 from repro.serving.jobs import JournalShard, ScoreJournal, job_fingerprint
-from repro.serving.scorer import BatchScorer, FrozenFeatureSpace
+from repro.serving.scorer import BatchScorer
 from repro.serving.service import (
     DeadlineExceeded,
     ScoringService,
@@ -36,7 +36,6 @@ __all__ = [
     "BatchScorer",
     "DeadlineExceeded",
     "DetectorArtifact",
-    "FrozenFeatureSpace",
     "JournalShard",
     "ScoreJournal",
     "ScoringService",

@@ -33,7 +33,7 @@ Design points:
 * **Bitwise-faithful** — MLP parameters and scaler statistics are
   stored at full precision in their training dtype, and the frozen
   featurizer statistics restore the exact lookup tables the live
-  featurizer consults on foreign tables, so a reloaded
+  featurizer consults, so a reloaded
   :class:`~repro.serving.scorer.BatchScorer` reproduces the in-memory
   scorer's masks bit for bit (pinned in ``tests/test_serving.py``).
 * **Forward-compatible provenance** — later PRs append *optional*
@@ -86,6 +86,7 @@ import io
 import json
 import time
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,7 @@ from repro.config import ZeroEDConfig
 from repro.core.detector import ErrorDetector
 from repro.core.featurize import AttributeFeaturizer
 from repro.criteria import Criterion
+from repro.data.stats import AttributeStats
 from repro.errors import ArtifactError, ReproError
 from repro.text.embeddings import SubwordHashEmbedding
 from repro.version import __version__
@@ -264,16 +266,16 @@ class DetectorArtifact:
         per_attribute: list[dict] = []
         models = fitted.detector.export_models()
         for i, attr in enumerate(attributes):
-            featurizer = fitted.feature_space.featurizers[attr]
-            frozen = featurizer.export_frozen()
-            values = list(frozen["value_counts"])
+            featurizer = fitted.featurizers[attr]
+            value_counts = featurizer.stats.value_counts
+            values = list(value_counts)
             arrays[f"a{i}_values"] = _str_array(values)
             arrays[f"a{i}_counts"] = np.asarray(
-                [frozen["value_counts"][v] for v in values], dtype=np.int64
+                [value_counts[v] for v in values], dtype=np.int64
             )
-            vicinity_attrs = list(frozen["vicinity"])
+            vicinity_attrs = list(featurizer.vicinity)
             for j, q in enumerate(vicinity_attrs):
-                pair_counts, lhs_counts = frozen["vicinity"][q]
+                pair_counts, lhs_counts = featurizer.vicinity[q]
                 pairs = list(pair_counts)
                 arrays[f"a{i}_v{j}_pair_lhs"] = _str_array(
                     [p[0] for p in pairs]
@@ -313,14 +315,14 @@ class DetectorArtifact:
             per_attribute.append(
                 {
                     "name": attr,
-                    "correlated": list(frozen["correlated"]),
+                    "correlated": list(featurizer.correlated),
                     "vicinity": vicinity_attrs,
-                    "n_rows": int(frozen["n_rows"]),
+                    "n_rows": int(featurizer.stats.n_rows),
                     "criteria": criteria_spec,
                     "model": model_spec,
                 }
             )
-        embedding = fitted.feature_space.embedding
+        embedding = fitted.embedding
         manifest = {
             "format": ARTIFACT_FORMAT,
             "version": ARTIFACT_VERSION,
@@ -552,10 +554,11 @@ class DetectorArtifact:
                     dict(zip(lhs_values, lhs_counts)),
                 )
             correlated[attr] = list(spec["correlated"])
-            featurizers[attr] = AttributeFeaturizer.from_frozen(
+            stats = AttributeStats(attr=attr, n_rows=int(spec["n_rows"]))
+            stats.value_counts = Counter(dict(zip(values, counts)))
+            featurizers[attr] = AttributeFeaturizer(
                 attr=attr,
-                value_counts=dict(zip(values, counts)),
-                n_rows=int(spec["n_rows"]),
+                stats=stats,
                 correlated=correlated[attr],
                 vicinity=vicinity,
                 embedding=embedding,

@@ -3,26 +3,26 @@
 :class:`BatchScorer` applies a trained ZeroED fit — live
 (:meth:`~repro.core.pipeline.FittedZeroED.scorer`) or reloaded from a
 disk artifact (:meth:`BatchScorer.from_artifact`) — to tables and row
-batches the fit never saw.  The path is deliberately narrow:
+batches.  It is the one scoring path: ``ZeroED.detect`` scores the
+fit's own table through it too.  The path is deliberately narrow:
 
 * **zero LLM calls, no sampling** — scoring consumes only frozen
-  facts: value-frequency tables, vicinity lookup dicts, compiled
+  facts: value-frequency tables, vicinity lookup tables, compiled
   criteria, trained MLP parameters;
-* **unique-value folds** — featurization routes through the same
-  interned fast paths the pipeline uses (``base_blocks`` computes
-  frequency/pattern/embedding features once per distinct value and
-  criteria once per distinct (value, context) combo), and the fast
-  detector engine builds, scales and predicts only one unified row per
-  unique key, in fixed row blocks, so scoring memory follows the
-  distinct values and keys rather than the row count;
+* **unique-value folds** — a :class:`~repro.core.featurize.FeatureSpace`
+  over the frozen featurizers computes frequency/pattern/embedding
+  features once per distinct value, vicinity ratios once per distinct
+  value pair and criteria once per distinct (value, context) combo,
+  and the fast detector engine builds, scales and predicts only one
+  unified row per unique key, in fixed row blocks, so scoring memory
+  follows the distinct values and keys rather than the row count;
 * **per-attribute fan-out** — feature blocks and detector prediction
   fan across ``config.n_jobs`` workers through :mod:`repro.parallel`,
   with the shared column encodings built serially first, the same
   determinism contract as the pipeline.
 
 A scorer built from a saved-then-loaded artifact produces masks
-bitwise equal to the in-memory scorer — and, scoring the training
-table, to ``ZeroED.detect`` itself (pinned in
+bitwise equal to the in-memory scorer (pinned in
 ``tests/test_serving.py``).
 """
 
@@ -32,79 +32,14 @@ import dataclasses
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import ZeroEDConfig
 from repro.core.detector import ErrorDetector
-from repro.core.featurize import (
-    AttributeFeaturizer,
-    BaseBlocks,
-    unified_owners,
-)
+from repro.core.featurize import AttributeFeaturizer, FeatureSpace
 from repro.core.result import DetectionResult, StageInfo
 from repro.data.table import Table
 from repro.errors import ArtifactError
 from repro.obs import trace
 from repro.parallel import parallel_attr_map
-
-
-class FrozenFeatureSpace:
-    """A feature space over *frozen* featurizers and a score table.
-
-    Shaped like :class:`~repro.core.featurize.FeatureSpace` for what
-    prediction reads (``unified_matrix`` / ``warm`` / ``featurizers`` /
-    ``correlated`` / ``config``), but built from a fitted pipeline's
-    featurizers instead of from the table itself: every statistic comes
-    from training time, the table only says which rows carry which
-    values.
-
-    It caches each attribute's :class:`~repro.core.featurize.BaseBlocks`
-    — value-only features once per distinct value plus a narrow
-    per-row vicinity/criteria block — and never an ``n × width`` base
-    matrix.  Unified rows are assembled from the blocks on demand: for
-    every row (exact engine), or only for the rows asked for (the fast
-    engine's unique-key row blocks).
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        featurizers: dict[str, AttributeFeaturizer],
-        correlated: dict[str, list[str]],
-        config: ZeroEDConfig,
-    ) -> None:
-        self.table = table
-        self.featurizers = featurizers
-        self.correlated = correlated
-        self.config = config
-        self._blocks: dict[str, BaseBlocks] = {}
-
-    def blocks(self, attr: str) -> BaseBlocks:
-        cached = self._blocks.get(attr)
-        if cached is None:
-            cached = self.featurizers[attr].base_blocks(self.table)
-            self._blocks[attr] = cached
-        return cached
-
-    def warm(self) -> None:
-        """Build every attribute's encoding and blocks serially, so a
-        thread fan-out over attributes only reads the shared caches."""
-        for attr in self.table.attributes:
-            self.table.encoding(attr)
-            self.blocks(attr)
-
-    def unified_matrix(
-        self, attr: str, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Unified rows of ``attr`` for every row, or for ``rows`` only."""
-        return np.concatenate(
-            [
-                part
-                for owner in unified_owners(self, attr)
-                for part in self.blocks(owner).parts(rows)
-            ],
-            axis=1,
-        )
 
 
 class BatchScorer:
@@ -152,8 +87,8 @@ class BatchScorer:
         return cls(
             config=fitted.config,
             detector=fitted.detector,
-            featurizers=dict(fitted.feature_space.featurizers),
-            correlated=dict(fitted.feature_space.correlated),
+            featurizers=dict(fitted.featurizers),
+            correlated=dict(fitted.correlated),
             attributes=fitted.attributes,
             llm_model=fitted.llm.model_name,
             train_rows=fitted.table.n_rows,
@@ -248,7 +183,7 @@ class BatchScorer:
         with trace.span(
             "featurize", dataset=table.name, rows=table.n_rows
         ) as featurize_span:
-            fs = FrozenFeatureSpace(
+            fs = FeatureSpace(
                 table, self.featurizers, self.correlated, self.config
             )
             # Column encodings are shared across attributes (vicinity

@@ -141,6 +141,11 @@ class _Pending:
     error: Exception | None = None
 
 
+#: ``_MicroBatcher._pop_live``'s "any routing key" (None is a key: the
+#: single-tenant one).
+_ANY_KEY = object()
+
+
 class _MicroBatcher:
     """Queue + lanes that score concurrent requests as one table.
 
@@ -239,7 +244,11 @@ class _MicroBatcher:
                     self._queued_rows -= len(pending.rows)
                 except ValueError:
                     pass
-                if pending.deadline is not None:
+                # A lane that failed the entry as expired has counted
+                # it already.
+                if pending.deadline is not None and not isinstance(
+                    pending.error, DeadlineExceeded
+                ):
                     self.n_expired += 1
             if pending.deadline is not None:
                 raise DeadlineExceeded(
@@ -282,56 +291,33 @@ class _MicroBatcher:
             lane.join(timeout=5)
 
     # ------------------------------------------------------------------
-    def _pop_live(self) -> _Pending | None:
-        """Pop the next unexpired entry (caller holds the lock).
+    def _pop_live(self, key=_ANY_KEY) -> _Pending | None:
+        """Pop the live head entry (caller holds the lock).
 
-        Expired entries are failed with :class:`DeadlineExceeded` on
-        the spot — their handler threads wake immediately rather than
-        at their own wait timeout, and the worker never scores them.
-        """
-        while self._queue:
-            pending = self._queue.popleft()
-            self._queued_rows -= len(pending.rows)
-            if (
-                pending.deadline is not None
-                and time.monotonic() > pending.deadline
-            ):
-                self.n_expired += 1
-                pending.error = DeadlineExceeded(
-                    "request deadline expired while queued"
-                )
-                pending.event.set()
-                continue
-            return pending
-        return None
-
-    def _pop_live_matching(self, key: str | None) -> _Pending | None:
-        """Pop the head entry if it is live *and* shares ``key``.
-
-        Expired heads are failed and skipped; a live head with a
-        different routing key stays queued (FIFO order is preserved —
-        the key switch just ends the current batch) and None is
-        returned.
+        Expired heads are failed with :class:`DeadlineExceeded` on the
+        spot and skipped — their handler threads wake immediately
+        rather than at their own wait timeout, and the lane never
+        scores them.  Given a routing ``key``, a live head with a
+        different key stays queued and None is returned: FIFO order is
+        preserved, the key switch just ends the current batch.
         """
         while self._queue:
             head = self._queue[0]
-            if (
+            expired = (
                 head.deadline is not None
                 and time.monotonic() > head.deadline
-            ):
-                self._queue.popleft()
-                self._queued_rows -= len(head.rows)
-                self.n_expired += 1
-                head.error = DeadlineExceeded(
-                    "request deadline expired while queued"
-                )
-                head.event.set()
-                continue
-            if head.key != key:
+            )
+            if not expired and key is not _ANY_KEY and head.key != key:
                 return None
             self._queue.popleft()
             self._queued_rows -= len(head.rows)
-            return head
+            if not expired:
+                return head
+            self.n_expired += 1
+            head.error = DeadlineExceeded(
+                "request deadline expired while queued"
+            )
+            head.event.set()
         return None
 
     def _collect_batch(self) -> list[_Pending]:
@@ -351,7 +337,7 @@ class _MicroBatcher:
             deadline = time.monotonic() + self._linger_s
             while total < self._max_batch_rows:
                 if self._queue:
-                    nxt = self._pop_live_matching(first.key)
+                    nxt = self._pop_live(first.key)
                     if nxt is None:
                         break
                     batch.append(nxt)

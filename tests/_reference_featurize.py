@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core.featurize import AttributeFeaturizer, FeatureSpace
+from repro.data.encoding import joint_counts
 from repro.data.table import Table
 from repro.text.patterns import generalize
 
@@ -111,3 +112,21 @@ def reference_unified_matrix(
                 reference_base_matrix(feature_space.featurizers[q], table)
             )
     return np.hstack(parts)
+
+
+def reference_vicinity_columns(
+    table: Table, attr: str, correlated: list[str]
+) -> list[np.ndarray]:
+    """Code-level vicinity ratios P(attr value | q value) per row of
+    ``table``, one column per correlated ``q``: the table's own joint
+    counts ``counts[inverse] / enc_q.counts[enc_q.codes]``, as the
+    fit-time featurizer once precomputed them for its construction
+    table."""
+    enc_a = table.encoding(attr)
+    columns = []
+    for q in correlated:
+        enc_q = table.encoding(q)
+        _, _, counts, inverse = joint_counts(enc_q, enc_a)
+        denom = enc_q.counts[enc_q.codes].astype(float)
+        columns.append(counts[inverse] / denom)
+    return columns

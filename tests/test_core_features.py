@@ -13,6 +13,11 @@ from repro.data.stats import compute_all_stats
 from repro.data.table import Table
 from repro.llm.simulated import codegen
 
+from _reference_assembly import (
+    reference_base_vector,
+    reference_unified_vector,
+)
+
 
 def fd_table(n=200, seed=0):
     rng = np.random.default_rng(seed)
@@ -66,13 +71,15 @@ def build_space(config=None):
         )
         for attr in table.attributes
     }
-    return table, FeatureSpace(table, stats, correlated, criteria, config)
+    return table, FeatureSpace.from_table(
+        table, stats, correlated, criteria, config
+    )
 
 
 class TestFeatureSpace:
     def test_base_matrix_shape(self):
         table, fs = build_space()
-        base = fs.base_matrix("city")
+        base = fs.blocks("city").take()
         assert base.shape[0] == table.n_rows
         assert base.shape[1] == fs.featurizers["city"].base_dim
 
@@ -108,7 +115,9 @@ class TestFeatureSpace:
     def test_value_frequency_feature_value(self):
         table, fs = build_space()
         featurizer = fs.featurizers["city"]
-        vec = featurizer.base_vector("Boston", {"state": "MA", "noise": "1"})
+        vec = reference_base_vector(
+            featurizer, "Boston", {"state": "MA", "noise": "1"}
+        )
         freq = featurizer.stats.value_frequency("Boston")
         assert vec[0] == pytest.approx(freq)
 
@@ -116,13 +125,13 @@ class TestFeatureSpace:
         table, fs = build_space()
         i = 3
         row = table.row(i)
-        vec = fs.featurizers["city"].base_vector(row["city"], row)
-        assert np.allclose(vec, fs.base_matrix("city")[i])
+        vec = reference_base_vector(fs.featurizers["city"], row["city"], row)
+        assert np.allclose(vec, fs.blocks("city").take()[i])
 
     def test_unified_vector_ad_hoc_value(self):
         table, fs = build_space()
         row = table.row(0)
-        vec = fs.unified_vector("city", "NOTACITY", row, 0)
+        vec = reference_unified_vector(fs, "city", "NOTACITY", row, 0)
         assert vec.shape == (fs.unified_matrix("city").shape[1],)
         # Unknown value has zero value-frequency.
         assert vec[0] == 0.0
@@ -138,6 +147,6 @@ class TestFeatureSpace:
 
     def test_cache_reused(self):
         table, fs = build_space()
-        a = fs.base_matrix("city")
-        b = fs.base_matrix("city")
+        a = fs.blocks("city")
+        b = fs.blocks("city")
         assert a is b

@@ -16,7 +16,7 @@ def make_space(table, config):
     stats = compute_all_stats(table)
     correlated = {a: [] for a in table.attributes}
     criteria = {a: [] for a in table.attributes}
-    return FeatureSpace(table, stats, correlated, criteria, config)
+    return FeatureSpace.from_table(table, stats, correlated, criteria, config)
 
 
 def training(attr, features, labels):

@@ -2,9 +2,12 @@
 
 Three layers of protection for the vectorized rewrite:
 
-* the unique-value ``base_matrix`` / ``unified_matrix`` must reproduce
+* the unique-value base blocks / ``unified_matrix`` must reproduce
   the retained per-row reference implementation exactly, on every
-  registered dataset generator and under every feature-block ablation;
+  registered dataset generator and under every feature-block ablation,
+  and the vicinity ratios looked up in the frozen string-keyed tables
+  must equal the code-level ratios bit for bit, whether the featurizer
+  was built by a fit or restored from an artifact;
 * ``Criterion.evaluate_column`` must match per-row ``check`` calls;
 * end-to-end ``ZeroED.detect`` masks must stay byte-identical to the
   recorded seed behaviour for fixed seeds (hashes recorded from the
@@ -26,10 +29,12 @@ from repro.core.pipeline import ZeroED
 from repro.data.registry import dataset_names, make_dataset
 from repro.data.stats import compute_all_stats
 from repro.llm.simulated.engine import SimulatedLLM
+from repro.serving.artifact import DetectorArtifact
 
 from _reference_featurize import (
     reference_base_matrix,
     reference_unified_matrix,
+    reference_vicinity_columns,
 )
 
 
@@ -49,7 +54,7 @@ def build_feature_space(
         if config.use_criteria_features
         else {a: [] for a in table.attributes}
     )
-    return FeatureSpace(table, stats, correlated, criteria, config)
+    return FeatureSpace.from_table(table, stats, correlated, criteria, config)
 
 
 @pytest.mark.parametrize("dataset", sorted(dataset_names()))
@@ -57,7 +62,7 @@ def test_matrices_match_reference_on_all_generators(dataset):
     config = ZeroEDConfig(embedding_dim=8, criteria_sample_size=15, seed=0)
     fs = build_feature_space(dataset, n_rows=80, config=config)
     for attr in fs.table.attributes:
-        fast = fs.base_matrix(attr)
+        fast = fs.blocks(attr).take()
         slow = reference_base_matrix(fs.featurizers[attr], fs.table)
         np.testing.assert_allclose(fast, slow, atol=1e-9, rtol=0)
         fast_u = fs.unified_matrix(attr)
@@ -86,7 +91,7 @@ def test_matrices_match_reference_under_ablations(ablation):
     fs = build_feature_space("beers", n_rows=60, config=config)
     for attr in fs.table.attributes:
         np.testing.assert_allclose(
-            fs.base_matrix(attr),
+            fs.blocks(attr).take(),
             reference_base_matrix(fs.featurizers[attr], fs.table),
             atol=1e-9,
             rtol=0,
@@ -118,8 +123,9 @@ def test_base_matrix_on_foreign_table_uses_construction_statistics():
     for i in (0, 1, 2):
         expected = featurizer._frequency_features(col[i])
         np.testing.assert_allclose(fast[i, :4], expected, atol=1e-9, rtol=0)
-    for k, q in enumerate(featurizer._vicinity_joint):
-        pair_counts, lhs_counts = featurizer._vicinity[q]
+    for k, (q, (pair_counts, lhs_counts)) in enumerate(
+        featurizer.vicinity.items()
+    ):
         q_col = other.column_view(q)
         for i in range(other.n_rows):
             denom = lhs_counts.get(q_col[i], 0)
@@ -129,6 +135,29 @@ def test_base_matrix_on_foreign_table_uses_construction_statistics():
                 else 0.0
             )
             assert abs(fast[i, 4 + k] - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("dataset", sorted(dataset_names()))
+def test_vicinity_columns_bitwise_equal_code_level_ratios(dataset, tmp_path):
+    config = ZeroEDConfig(
+        label_rate=0.1,
+        mlp_epochs=8,
+        criteria_sample_size=20,
+        embedding_dim=8,
+        seed=0,
+    )
+    table = make_dataset(dataset, n_rows=80, seed=0).dirty
+    fitted = ZeroED(config).fit(table)
+    restored = DetectorArtifact.load(fitted.save(tmp_path / "a")).restore()
+    for featurizers in (fitted.featurizers, restored.featurizers):
+        for attr, featurizer in featurizers.items():
+            blocks = featurizer.base_blocks(table)
+            expected = reference_vicinity_columns(
+                table, attr, fitted.correlated[attr]
+            )
+            assert blocks.n_vicinity == len(expected) > 0
+            for k, column in enumerate(expected):
+                assert np.array_equal(blocks.per_row[:, k], column)
 
 
 def test_evaluate_column_matches_per_row_check():

@@ -141,7 +141,7 @@ class TestAutoEngine:
         table = small_hospital.dirty
         stats = compute_all_stats(table)
         correlated = {a: [] for a in table.attributes}
-        fs = FeatureSpace(table, stats, correlated, {}, cfg)
+        fs = FeatureSpace.from_table(table, stats, correlated, {}, cfg)
         detector.fit({}, fs)
         assert detector._engine == "exact"
 
@@ -205,7 +205,7 @@ def _small_feature_state(data, config):
             },
         ),
     ]
-    fs = FeatureSpace(table, stats, correlated, criteria, config)
+    fs = FeatureSpace.from_table(table, stats, correlated, criteria, config)
     return table, fs, correlated, attr
 
 
@@ -282,7 +282,7 @@ class TestBatchEquivalence:
             small_hospital.dirty.attributes[0],
         )
         stats = compute_all_stats(table)
-        fs = FeatureSpace(
+        fs = FeatureSpace.from_table(
             table, stats, {a: [] for a in table.attributes}, {}, config
         )
         out = fs.unified_rows(attr, ["a", "b"], [{attr: "a"}, {attr: "b"}], [0, 1])

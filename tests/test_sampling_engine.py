@@ -381,7 +381,7 @@ def test_inertia_parity_on_generator_slices(case):
     stats = compute_all_stats(table)
     correlated = correlated_attributes(table, config.n_correlated, seed=seed)
     criteria = generate_initial_criteria(llm, table, correlated, config)
-    fs = FeatureSpace(table, stats, correlated, criteria, config)
+    fs = FeatureSpace.from_table(table, stats, correlated, criteria, config)
     k = config.clusters_for(n_rows)
     total = {"exact": 0.0, "fast": 0.0}
     for attr in table.attributes:

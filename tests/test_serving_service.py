@@ -9,12 +9,14 @@ back as JSON errors with 4xx statuses.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.config import ZeroEDConfig
@@ -22,7 +24,8 @@ from repro.core.pipeline import ZeroED
 from repro.data.registry import get_dataset
 from repro.serving.artifact import ARTIFACT_VERSION
 from repro.serving.scorer import BatchScorer
-from repro.serving.service import ScoringService
+from repro.serving import service as service_mod
+from repro.serving.service import DeadlineExceeded, ScoringService
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +191,75 @@ class TestMicroBatching:
         assert status == 200
         assert payload["batches"] >= 1
         assert payload["rows_scored"] >= 1
+
+
+def _no_flags(key, rows):
+    return np.zeros((len(rows), 1), dtype=bool)
+
+
+class TestMicroBatcher:
+    """The batcher itself, without HTTP: coalescing and expiry."""
+
+    @staticmethod
+    def _enqueue(batcher, key, expired=False):
+        pending = service_mod._Pending(
+            rows=[{"key": str(key)}],
+            deadline=time.monotonic() - 1 if expired else None,
+            key=key,
+        )
+        batcher._queue.append(pending)
+        batcher._queued_rows += 1
+        return pending
+
+    def test_batches_coalesce_same_key_fifo_and_skip_expired(self):
+        batcher = service_mod._MicroBatcher(_no_flags, linger_s=0)
+        # Lanes gone, the test collects the batches itself.
+        batcher.stop()
+        enqueue = self._enqueue
+        x0 = enqueue(batcher, "k", expired=True)
+        a, b = enqueue(batcher, "k"), enqueue(batcher, "k")
+        x1 = enqueue(batcher, "k", expired=True)
+        c = enqueue(batcher, "k")
+        # None is the single-tenant key, not "any key".
+        d, e = enqueue(batcher, None), enqueue(batcher, None)
+        f = enqueue(batcher, "k")
+        assert batcher._collect_batch() == [a, b, c]
+        assert list(batcher._queue) == [d, e, f]
+        assert batcher._collect_batch() == [d, e]
+        assert batcher._collect_batch() == [f]
+        for expired in (x0, x1):
+            assert isinstance(expired.error, DeadlineExceeded)
+            assert expired.event.is_set()
+        for live in (a, b, c, d, e, f):
+            assert live.error is None and not live.event.is_set()
+        stats = batcher.stats()
+        assert stats["expired"] == 2
+        assert stats["queued_rows"] == 0
+
+    def test_expired_request_counted_once(self, monkeypatch):
+        class ExpiresWhileWaiting(threading.Event):
+            """The handler's wait times out just after a lane has
+            failed its entry as expired."""
+
+            def wait(self, timeout=None):
+                assert super().wait(5)
+                return False
+
+        @dataclasses.dataclass
+        class RacingPending(service_mod._Pending):
+            event: threading.Event = dataclasses.field(
+                default_factory=ExpiresWhileWaiting
+            )
+
+        monkeypatch.setattr(service_mod, "_Pending", RacingPending)
+        batcher = service_mod._MicroBatcher(_no_flags, linger_s=0)
+        try:
+            with pytest.raises(DeadlineExceeded):
+                # Already past, so the lane pops it as expired.
+                batcher.submit([{"key": "k"}], deadline_s=-1.0)
+            assert batcher.stats()["expired"] == 1
+        finally:
+            batcher.stop()
 
 
 class TestHardening:

@@ -274,7 +274,7 @@ def make_setup(config=None):
         )
         for attr in table.attributes
     }
-    space = FeatureSpace(table, stats, correlated, criteria, config)
+    space = FeatureSpace.from_table(table, stats, correlated, criteria, config)
     sampling = sample_representatives(
         space.unified_matrix("state"), 24, seed=0
     )
@@ -416,7 +416,9 @@ def test_verify_attribute_matches_seed_loop_on_generator_slice():
         stats = compute_all_stats(table)
         correlated = correlated_attributes(table, 2, seed=0)
         criteria = generate_initial_criteria(llm, table, correlated, config)
-        space = FeatureSpace(table, stats, correlated, criteria, config)
+        space = FeatureSpace.from_table(
+            table, stats, correlated, criteria, config
+        )
         per_attr = {}
         for attr in table.attributes:
             sampling = sample_representatives(
@@ -560,7 +562,9 @@ class TestDetectorEngine:
         stats = compute_all_stats(table)
         correlated = {a: [] for a in table.attributes}
         criteria = {a: [] for a in table.attributes}
-        return FeatureSpace(table, stats, correlated, criteria, config)
+        return FeatureSpace.from_table(
+            table, stats, correlated, criteria, config
+        )
 
     def setup_detector(self, engine):
         from repro.core.training_data import AttributeTrainingData
@@ -625,7 +629,9 @@ class TestDetectorEngine:
         table, correlated, criteria = _criteria_setup(n_rows=50)
         config = ZeroEDConfig(criteria_sample_size=15, seed=0)
         stats = compute_all_stats(table)
-        space = FeatureSpace(table, stats, correlated, criteria, config)
+        space = FeatureSpace.from_table(
+            table, stats, correlated, criteria, config
+        )
         for attr in table.attributes:
             cols = _unified_key_columns(space, table, attr)
             assert cols[0] == attr

@@ -45,7 +45,7 @@ def make_setup(config=None):
         )
         for attr in table.attributes
     }
-    space = FeatureSpace(table, stats, correlated, criteria, config)
+    space = FeatureSpace.from_table(table, stats, correlated, criteria, config)
     sampling = sample_representatives(
         space.unified_matrix("state"), 24, seed=0
     )
