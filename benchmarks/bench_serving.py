@@ -384,8 +384,8 @@ def bench_workers(
     batch_rows = [table.row(i) for i in range(min(12, table.n_rows))]
     expected = scorer.score_rows(batch_rows).mask.matrix.tolist()
     for workers in counts:
-        service = ScoringService.from_artifact(
-            artifact_path,
+        service = ScoringService.from_artifacts(
+            [artifact_path],
             workers=workers,
             port=0,
             max_queue_rows=4 * max(2, n_clients // 4),

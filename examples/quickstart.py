@@ -158,10 +158,11 @@ def main() -> None:
     #
     #        repro serve --artifact art/ --workers 4
     #
-    #    One service can also host MANY fitted datasets: repeat
-    #    --artifact and requests route by schema fingerprint (or an
-    #    explicit "dataset" field); the first artifact is the pinned
-    #    default tenant:
+    #    Every service is an artifact registry, and one --artifact
+    #    is a registry of one.  Repeat --artifact to host MANY fitted
+    #    datasets: requests route by schema fingerprint (or an
+    #    explicit "dataset" field), and the first artifact is the
+    #    pinned default tenant that answers unrouted requests:
     #
     #        repro serve --artifact tax_art/ --artifact beers_art/ \
     #              --registry-budget-mb 256 --workers 2
@@ -171,15 +172,22 @@ def main() -> None:
     #        curl -s localhost:8537/healthz   # registry residency,
     #                                         # hit/miss/eviction counts
     #
-    #    The memory budget makes the registry an LRU: tenants evicted
-    #    under pressure reload transparently on their next request,
-    #    and POST /reload upserts (same schema replaces, new schema
-    #    adds a tenant).  Artifacts are format v2 now — pooled
-    #    deduplicated vocabularies in a compressed npz, several times
-    #    smaller on disk, loading byte-identically (v1 artifacts
-    #    still load; see BENCH_serving.json for the measured ratio
-    #    and the workers throughput sweep).  GET /artifact/arrays
-    #    streams the bulk file in chunks for replica warm-up.
+    #    The memory budget makes the registry an LRU: tenants other
+    #    than the default are evicted under pressure and reload
+    #    transparently on their next request, routed by fingerprint
+    #    or dataset.  POST /reload upserts by schema fingerprint (same
+    #    schema replaces, new schema adds a tenant), but re-reading a
+    #    path a tenant is known by must keep that tenant's schema —
+    #    else 400 "schema mismatch" and the old scorer keeps serving:
+    #
+    #        curl -s localhost:8537/reload -d '{"artifact": "beers_art/"}'
+    #
+    #    Artifacts are format v2 now — pooled deduplicated
+    #    vocabularies in a compressed npz, several times smaller on
+    #    disk, loading byte-identically (v1 artifacts still load; see
+    #    BENCH_serving.json for the measured ratio and the workers
+    #    throughput sweep).  GET /artifact/arrays streams the bulk
+    #    file in chunks for replica warm-up.
 
     # 10. Unified telemetry (observe-only: masks are byte-identical
     #     with everything below on or off).  Three faces, one layer:

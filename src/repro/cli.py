@@ -276,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes with byte-identical masks")
     p.add_argument("--registry-budget-mb", type=float, default=None,
                    metavar="MB",
-                   help="memory budget for resident artifacts in "
-                        "multi-artifact mode; least-recently-used "
-                        "tenants are evicted and reload on demand "
+                   help="memory budget for resident artifacts; "
+                        "least-recently-used tenants other than the "
+                        "default are evicted and reload on demand "
                         "(default: unbounded)")
     p.add_argument("--read-timeout", type=float, default=None,
                    metavar="SECONDS",
@@ -502,22 +502,15 @@ def cmd_serve(args) -> int:
         hardening["deadline_s"] = args.deadline
     if args.workers:
         hardening["workers"] = args.workers
-    artifacts = args.artifact
-    if len(artifacts) > 1 or args.registry_budget_mb is not None:
-        budget = (
-            int(args.registry_budget_mb * 1024 * 1024)
-            if args.registry_budget_mb is not None
-            else None
-        )
-        service = ScoringService.from_artifacts(
-            artifacts, budget_bytes=budget, n_jobs=args.jobs,
-            host=args.host, port=args.port, **hardening,
-        )
-    else:
-        service = ScoringService.from_artifact(
-            artifacts[0], n_jobs=args.jobs, host=args.host,
-            port=args.port, **hardening,
-        )
+    budget = (
+        int(args.registry_budget_mb * 1024 * 1024)
+        if args.registry_budget_mb is not None
+        else None
+    )
+    service = ScoringService.from_artifacts(
+        args.artifact, budget_bytes=budget, n_jobs=args.jobs,
+        host=args.host, port=args.port, **hardening,
+    )
     if args.workers:
         # Pay the per-worker artifact load before announcing readiness,
         # not on the first real request.
@@ -527,12 +520,9 @@ def cmd_serve(args) -> int:
           f"({info.get('train_rows')} training rows) on {service.url}")
     if service.n_workers:
         print(f"scoring on {service.n_workers} worker process(es)")
-    if service.registry is not None:
-        resident = service.registry.snapshot()["resident"]
-        names = ", ".join(
-            repr(entry["dataset"]) for entry in resident
-        )
-        print(f"registry: {len(resident)} resident artifact(s): {names}")
+    resident = service.registry.snapshot()["resident"]
+    names = ", ".join(repr(entry["dataset"]) for entry in resident)
+    print(f"registry: {len(resident)} resident artifact(s): {names}")
     degraded = (info.get("resilience") or {}).get("degraded_attrs") or {}
     if degraded:
         print(f"note: {len(degraded)} attribute(s) were fitted degraded "

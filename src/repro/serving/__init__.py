@@ -10,7 +10,13 @@ The train-once / score-many layer over the ZeroED pipeline (PR 5):
 * :mod:`repro.serving.service` — :class:`ScoringService`, a stdlib
   ``ThreadingHTTPServer`` JSON API with micro-batched request handling,
   bounded-admission load shedding, per-request deadlines, graceful
-  drain and hot artifact reload (PR 8);
+  drain and hot artifact reload;
+* :mod:`repro.serving.registry` — :class:`ArtifactRegistry`, the
+  fingerprint-keyed LRU of fitted detectors behind every service: the
+  scorer a service starts with is its pinned default tenant, so a
+  service over one artifact is a registry of one;
+* :mod:`repro.serving.workers` — the spawn-started process pool that
+  scores micro-batches off the front process;
 * :mod:`repro.serving.streaming` — out-of-core sharded scoring and
   sampled fitting (PR 7);
 * :mod:`repro.serving.jobs` — :class:`ScoreJournal`, the crash-safe

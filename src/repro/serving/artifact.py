@@ -605,6 +605,10 @@ class DetectorArtifact:
             # The saved arrays' checksum doubles as the artifact's
             # identity for resumable-job fingerprints (PR 8).
             "arrays_sha256": manifest.get("arrays_sha256"),
+            # What the restored scorer keeps resident (the v2 file on
+            # disk is deflate-compressed and would undercount); the
+            # artifact registry charges its memory budget by it.
+            "decoded_bytes": sum(arr.nbytes for arr in arrays.values()),
         }
         return RestoredState(
             config=config,

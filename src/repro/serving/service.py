@@ -1,14 +1,21 @@
-"""A stdlib HTTP scoring service over a :class:`BatchScorer`.
+"""A stdlib HTTP scoring service over an artifact registry.
 
-``ScoringService`` wraps a warm scorer in a ``ThreadingHTTPServer``
-JSON API:
+``ScoringService`` serves fitted detectors through a
+``ThreadingHTTPServer`` JSON API.  ZeroED fits one detector per
+dataset, and every service is an
+:class:`~repro.serving.registry.ArtifactRegistry` of them: the scorer
+a service is built with (live, or loaded by
+:meth:`ScoringService.from_artifacts`) is pinned and inserted as the
+*default tenant*, so a service over one artifact is a registry of one.
 
 * ``POST /score`` — body ``{"rows": [{attr: value, ...}, ...]}``;
-  responds with the per-row boolean error flags in schema order.
-* ``GET /healthz`` — liveness plus serving counters, the fit-time
-  degradation state and (when wired to a live pipeline) the circuit
-  breaker's snapshot.
-* ``GET /artifact`` — the loaded artifact's manifest summary (version,
+  responds with the per-row boolean error flags in schema order.  A
+  ``fingerprint`` (schema fingerprint) or ``dataset`` payload field
+  routes the rows to that tenant; without either the default answers.
+* ``GET /healthz`` — liveness plus serving counters, registry
+  residency, the fit-time degradation state and (when wired to a live
+  pipeline) the circuit breaker's snapshot.
+* ``GET /artifact`` — the default tenant's manifest summary (version,
   schema, engines, training provenance).
 
 Hardening (PR 6): every error response is a structured JSON body
@@ -38,9 +45,14 @@ Resilience (PR 8):
 * **readiness vs liveness** — ``GET /readyz`` answers 200 only while
   the service admits work (503 while draining); ``GET /healthz`` stays
   liveness + counters (including shed / expired / reload counts).
-* **hot reload** — ``POST /reload`` loads a new artifact (same schema
-  required) and swaps the scorer atomically between batches: in-flight
-  requests finish on the scorer they were admitted under.
+* **hot reload** — ``POST /reload`` loads an artifact (payload
+  ``artifact`` path, default: the default tenant's) and upserts it by
+  schema fingerprint: the same fingerprint replaces that tenant, a new
+  one adds a tenant.  Re-reading a path a tenant is known by must
+  still yield that tenant's schema, else HTTP 400 ``schema mismatch``
+  and the old scorer keeps serving, so no tenant's wire contract ever
+  changes.  Swaps are atomic between batches: in-flight requests
+  finish on the scorer they were admitted under.
 
 Scale-out (PR 9):
 
@@ -52,14 +64,12 @@ Scale-out (PR 9):
   ``tests/test_serving_service.py``).  The batcher runs one scoring
   *lane* thread per worker so the pool actually scores N batches
   concurrently.
-* **multi-tenant registry** — :meth:`ScoringService.from_artifacts`
-  hosts many fitted datasets behind one port via an
-  :class:`~repro.serving.registry.ArtifactRegistry` (LRU, memory
-  budget).  ``POST /score`` routes by schema ``fingerprint`` or
-  ``dataset`` payload field (default: the first artifact); batches
-  coalesce only same-tenant requests; ``POST /reload`` becomes a
-  registry upsert; ``GET /healthz`` reports residency and eviction
-  counters.
+* **many tenants** — :meth:`ScoringService.from_artifacts` hosts
+  several fitted datasets behind one port (the first is the default);
+  ``budget_bytes`` bounds their resident decoded arrays (LRU; the
+  pinned default is never evicted, an evicted tenant reloads on its
+  next request); batches coalesce only same-tenant requests;
+  ``GET /healthz`` reports residency and eviction counters.
 * **artifact download** — ``GET /artifact/arrays`` streams the loaded
   artifact's ``arrays.npz`` in 64 KiB chunks (the ~46 MB file never
   materialises in handler memory); ``GET /artifact`` stays the small
@@ -80,6 +90,8 @@ flags of any batch containing it (asserted in
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import threading
 import time
 import uuid
@@ -96,6 +108,8 @@ from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     process_memory_bytes,
 )
+from repro.serving.artifact import ARRAYS_NAME, schema_fingerprint
+from repro.serving.registry import ArtifactRegistry
 from repro.serving.scorer import BatchScorer
 from repro.serving.workers import WorkerPool, WorkerPoolBroken
 
@@ -104,7 +118,7 @@ _log = obs_log.get_logger("repro.serving.service")
 #: How long the batching worker lingers after the first queued request
 #: to let concurrent requests coalesce, and the row cap per batch.
 DEFAULT_LINGER_S = 0.002
-DEFAULT_MAX_BATCH_ROWS = 4096
+MAX_BATCH_ROWS = 4096
 #: How long a handler thread waits for its batch to be scored.
 REQUEST_TIMEOUT_S = 120.0
 #: Request-body cap (bytes) and per-connection socket read deadline —
@@ -114,7 +128,7 @@ DEFAULT_READ_TIMEOUT_S = 30.0
 #: Admission cap: rows allowed to wait in the micro-batch queue before
 #: new requests are shed with 503, and the Retry-After hint they get.
 DEFAULT_MAX_QUEUE_ROWS = 16_384
-DEFAULT_RETRY_AFTER_S = 1
+RETRY_AFTER_S = 1
 
 
 class ServiceOverloaded(ReproError):
@@ -131,9 +145,9 @@ class _Pending:
 
     rows: list[dict]
     deadline: float | None = None
-    #: Routing key (schema fingerprint in registry mode, None for
-    #: single-tenant).  A batch only coalesces same-key entries —
-    #: different tenants must never share a featurization pass.
+    #: Routing key: the tenant's schema fingerprint.  A batch only
+    #: coalesces same-key entries — different tenants must never share
+    #: a featurization pass.
     key: str | None = None
     event: threading.Event = field(default_factory=threading.Event)
     flags: list[list[bool]] | None = None
@@ -141,8 +155,8 @@ class _Pending:
     error: Exception | None = None
 
 
-#: ``_MicroBatcher._pop_live``'s "any routing key" (None is a key: the
-#: single-tenant one).
+#: ``_MicroBatcher._pop_live``'s "any routing key" (None is a key
+#: like any other).
 _ANY_KEY = object()
 
 
@@ -157,8 +171,8 @@ class _MicroBatcher:
     :class:`DeadlineExceeded`.
 
     Scoring is delegated to ``score_fn(key, rows) -> bool matrix`` so
-    the service decides the backend per batch — in-process scorer,
-    worker pool, or registry lookup — and ``n_lanes`` scoring threads
+    the service resolves the tenant and its backend — in-process scorer
+    or worker pool — per batch, and ``n_lanes`` scoring threads
     run the collect/score loop concurrently (one lane per worker
     process keeps a pool saturated; single-process serving keeps the
     original one-lane behaviour).  Entries coalesce into a batch only
@@ -170,13 +184,11 @@ class _MicroBatcher:
         self,
         score_fn,
         linger_s: float = DEFAULT_LINGER_S,
-        max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
         max_queue_rows: int = DEFAULT_MAX_QUEUE_ROWS,
         n_lanes: int = 1,
     ) -> None:
         self._score_fn = score_fn
         self._linger_s = linger_s
-        self._max_batch_rows = max_batch_rows
         self._max_queue_rows = max_queue_rows
         self._queue: deque[_Pending] = deque()
         self._queued_rows = 0
@@ -335,7 +347,7 @@ class _MicroBatcher:
             batch = [first]
             total = len(first.rows)
             deadline = time.monotonic() + self._linger_s
-            while total < self._max_batch_rows:
+            while total < MAX_BATCH_ROWS:
                 if self._queue:
                     nxt = self._pop_live(first.key)
                     if nxt is None:
@@ -386,7 +398,7 @@ class _MicroBatcher:
 
 
 class ScoringService:
-    """HTTP serving front-end over one or many detector artifacts."""
+    """HTTP serving front-end over a registry of fitted detectors."""
 
     def __init__(
         self,
@@ -394,19 +406,15 @@ class ScoringService:
         host: str = "127.0.0.1",
         port: int = 0,
         linger_s: float = DEFAULT_LINGER_S,
-        max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         max_queue_rows: int = DEFAULT_MAX_QUEUE_ROWS,
         deadline_s: float | None = None,
-        retry_after_s: int = DEFAULT_RETRY_AFTER_S,
         breaker_state=None,
         artifact_path: str | Path | None = None,
         workers: int = 0,
-        registry=None,
-        default_fingerprint: str | None = None,
+        budget_bytes: int | None = None,
     ) -> None:
-        self.scorer = scorer
         self.started_at = time.time()
         self.n_requests = 0
         self.n_reloads = 0
@@ -415,40 +423,33 @@ class ScoringService:
         #: Default per-request deadline; a payload's own "deadline_s"
         #: tightens (never loosens) it.  None = REQUEST_TIMEOUT_S only.
         self.deadline_s = deadline_s
-        self.retry_after_s = retry_after_s
-        #: Where the scorer was loaded from — the default /reload
-        #: source.  None for live-pipeline services.
-        self.artifact_path = (
-            Path(artifact_path) if artifact_path is not None else None
-        )
         #: Optional zero-arg callable returning the live circuit
         #: breaker's snapshot dict — wire it when the service fronts a
         #: pipeline that still holds its ResilientLLM (a service over a
         #: reloaded artifact has no breaker; /healthz reports null).
         self.breaker_state = breaker_state
-        #: Multi-tenant mode: an ArtifactRegistry resolves routing keys
-        #: (schema fingerprints) to scorers.  None = single-tenant with
-        #: the PR 8 reload semantics.
-        self._registry = registry
-        self.default_fingerprint = default_fingerprint
+        #: The tenants.  ``scorer`` — loaded from ``artifact_path``, or
+        #: a live fit's with no path — is pinned *before* it is
+        #: inserted, so no budget can evict the default; tenants loaded
+        #: later score with its jobs count.
+        self.registry = ArtifactRegistry(
+            budget_bytes=budget_bytes, n_jobs=scorer.config.n_jobs
+        )
+        self.default_fingerprint = schema_fingerprint(scorer.attributes)
+        self.registry.pin(self.default_fingerprint)
+        self.registry.insert(scorer, artifact_path)
         #: Worker-pool mode: batches score in N spawn-started processes
-        #: that load the artifact themselves, so the front needs a path
-        #: (in-memory-only scorers cannot cross a process boundary).
+        #: that load each artifact themselves, so the default needs a
+        #: path (in-memory-only scorers cannot cross a process boundary).
         if workers:
-            if registry is None and self.artifact_path is None:
+            if artifact_path is None:
                 raise ArtifactError(
-                    "workers > 0 needs an artifact path (or a registry)"
-                    " — worker processes load the scorer from disk"
+                    "workers > 0 needs an artifact path — worker "
+                    "processes load the scorer from disk"
                 )
             self._pool = WorkerPool(workers)
         else:
             self._pool = None
-        #: (path, arrays_sha256) of the single-tenant artifact, swapped
-        #: as one tuple so worker batches never see a reload half-done.
-        self._artifact_ref = (
-            self.artifact_path,
-            scorer.info.get("arrays_sha256"),
-        )
         self._stats_lock = threading.Lock()
         self._draining = False
         #: Per-service metric namespace (no process-global registry, so
@@ -458,26 +459,12 @@ class ScoringService:
         self._batcher = _MicroBatcher(
             self._score_batch_rows,
             linger_s=linger_s,
-            max_batch_rows=max_batch_rows,
             max_queue_rows=max_queue_rows,
             n_lanes=workers if workers else 1,
         )
         self._server = _Server((host, port), _make_handler(self))
         self._thread: threading.Thread | None = None
         self._serving = False
-
-    @classmethod
-    def from_artifact(
-        cls, path: str | Path, n_jobs: int | None = None, **kwargs
-    ) -> "ScoringService":
-        kwargs.setdefault("artifact_path", path)
-        scorer = BatchScorer.from_artifact(path, n_jobs=n_jobs)
-        # config.n_worker_procs is the persisted default; an explicit
-        # workers= kwarg (CLI --workers) wins.
-        kwargs.setdefault(
-            "workers", getattr(scorer.config, "n_worker_procs", 0)
-        )
-        return cls(scorer, **kwargs)
 
     @classmethod
     def from_artifacts(
@@ -487,7 +474,7 @@ class ScoringService:
         n_jobs: int | None = None,
         **kwargs,
     ) -> "ScoringService":
-        """Host several fitted datasets behind one port (registry mode).
+        """Serve saved artifacts behind one port.
 
         The first path becomes the *default* tenant: it answers
         ``/score`` requests that name no ``fingerprint``/``dataset``,
@@ -496,21 +483,25 @@ class ScoringService:
         evicted under pressure reload transparently on their next
         request.
         """
-        from repro.serving.registry import ArtifactRegistry
-
         if not paths:
             raise ArtifactError("from_artifacts needs at least one path")
-        registry = ArtifactRegistry(budget_bytes=budget_bytes, n_jobs=n_jobs)
-        entries = [registry.upsert(p) for p in paths]
-        default = entries[0]
-        registry.pin(default.fingerprint)
-        kwargs.setdefault("artifact_path", default.path)
-        return cls(
-            default.scorer,
-            registry=registry,
-            default_fingerprint=default.fingerprint,
-            **kwargs,
+        first, *rest = paths
+        scorer = BatchScorer.from_artifact(first, n_jobs=n_jobs)
+        # config.n_worker_procs is the persisted default; an explicit
+        # workers= kwarg (CLI --workers) wins.
+        kwargs.setdefault(
+            "workers", getattr(scorer.config, "n_worker_procs", 0)
         )
+        service = cls(
+            scorer, artifact_path=first, budget_bytes=budget_bytes, **kwargs
+        )
+        try:
+            for path in rest:
+                service.registry.upsert(path)
+        except BaseException:
+            service.stop()  # the socket, lanes and pool are already up
+            raise
+        return service
 
     # ------------------------------------------------------------------
     def _init_metrics(self) -> None:
@@ -589,7 +580,7 @@ class ScoringService:
         self._m_reg = {
             stat: m.counter(
                 f"repro_registry_{stat}_total",
-                f"Artifact registry {stat} (multi-tenant mode)",
+                f"Artifact registry {stat}",
             )
             for stat in ("hits", "misses", "evictions", "loads")
         }
@@ -646,12 +637,11 @@ class ScoringService:
         resident, peak = process_memory_bytes()
         self._m_rss.set(resident)
         self._m_peak_rss.set(peak)
-        if self._registry is not None:
-            snap = self._registry.snapshot()
-            for stat, counter in self._m_reg.items():
-                counter.set_total(snap[stat])
-            self._m_reg_bytes.set(snap["resident_bytes"])
-            self._m_reg_tenants.set(len(snap["resident"]))
+        snap = self.registry.snapshot()
+        for stat, counter in self._m_reg.items():
+            counter.set_total(snap[stat])
+        self._m_reg_bytes.set(snap["resident_bytes"])
+        self._m_reg_tenants.set(len(snap["resident"]))
         tokens = self.scorer.info.get("tokens") or {}
         if tokens:
             self._m_fit_tokens.set_total(
@@ -679,39 +669,25 @@ class ScoringService:
             )
 
     # ------------------------------------------------------------------
-    def _score_batch_rows(self, key: str | None, rows: list[dict]):
+    def _score_batch_rows(self, key: str, rows: list[dict]):
         """The batcher's ``score_fn``: route one batch to its backend.
 
         Resolution happens at batch time (not admission time), so a
-        reload or registry upsert takes effect at the next batch
-        boundary — the same atomic-swap contract the single-process
-        service always had.
+        reload takes effect at the next batch boundary: an atomic swap.
         """
         with trace.span("batch", rows=len(rows)) as sp:
-            if self._registry is not None and key is not None:
-                entry = self._registry.get(key)
-                tenant = entry.dataset or entry.fingerprint[:12]
-                sp.set(tenant=tenant, key=key)
-                if self._pool is not None:
-                    flags = self._pool.score(
-                        entry.path, entry.arrays_sha256, rows
-                    )
-                    self._m_worker_batches.inc()
-                else:
-                    flags = entry.scorer.score_rows(
-                        rows, name="request"
-                    ).mask.matrix
+            entry = self.registry.get(key)
+            tenant = entry.dataset or entry.fingerprint[:12]
+            sp.set(tenant=tenant, key=key)
+            if self._pool is not None:
+                flags = self._pool.score(
+                    entry.path, entry.arrays_sha256, rows
+                )
+                self._m_worker_batches.inc()
             else:
-                tenant = self.scorer.info.get("dataset") or "default"
-                sp.set(tenant=tenant)
-                if self._pool is not None:
-                    path, sha = self._artifact_ref
-                    flags = self._pool.score(path, sha, rows)
-                    self._m_worker_batches.inc()
-                else:
-                    flags = self.scorer.score_rows(
-                        rows, name="request"
-                    ).mask.matrix
+                flags = entry.scorer.score_rows(
+                    rows, name="request"
+                ).mask.matrix
         self._m_latency.observe(sp.seconds, tenant=tenant)
         self._m_tenant_rows.inc(len(rows), tenant=tenant)
         _log.debug(
@@ -723,8 +699,15 @@ class ScoringService:
         return flags
 
     @property
-    def registry(self):
-        return self._registry
+    def scorer(self):
+        """The default tenant's scorer (a reload may swap it)."""
+        return self.registry.peek(self.default_fingerprint).scorer
+
+    @property
+    def artifact_path(self) -> Path | None:
+        """Where the default tenant was loaded from — the default
+        /reload source; None for a live fit's scorer."""
+        return self.registry.peek(self.default_fingerprint).path
 
     @property
     def n_workers(self) -> int:
@@ -739,9 +722,8 @@ class ScoringService:
         """
         if self._pool is None:
             return
-        path, sha = self._artifact_ref
-        if path is not None:
-            self._pool.warm(path, sha)
+        entry = self.registry.peek(self.default_fingerprint)
+        self._pool.warm(entry.path, entry.arrays_sha256)
 
     # ------------------------------------------------------------------
     @property
@@ -848,106 +830,69 @@ class ScoringService:
             {str(k): "" if v is None else str(v) for k, v in row.items()}
             for row in rows
         ]
-        # Multi-tenant routing: an explicit fingerprint wins, a dataset
-        # name resolves to one, and neither falls back to the pinned
-        # default tenant.  Single-tenant services ignore both fields'
-        # absence and route everything to their one scorer.
-        key = None
-        scorer = self.scorer
-        if self._registry is not None:
-            if payload.get("fingerprint") is not None:
-                entry = self._registry.get(str(payload["fingerprint"]))
-            elif payload.get("dataset") is not None:
-                entry = self._registry.by_dataset(str(payload["dataset"]))
-            else:
-                entry = self._registry.get(self.default_fingerprint)
-            key = entry.fingerprint
-            scorer = entry.scorer
+        # Routing: an explicit fingerprint wins, a dataset name
+        # resolves to one, and neither means the pinned default.
+        if payload.get("fingerprint") is not None:
+            entry = self.registry.get(str(payload["fingerprint"]))
+        elif payload.get("dataset") is not None:
+            entry = self.registry.by_dataset(str(payload["dataset"]))
+        else:
+            entry = self.registry.get(self.default_fingerprint)
         # Validate before enqueueing: a bad request must fail alone,
         # not poison the micro-batch it would have joined.
-        scorer.validate_rows(normalised)
+        entry.scorer.validate_rows(normalised)
         pending = self._batcher.submit(
-            normalised, deadline_s=deadline_s, key=key
+            normalised, deadline_s=deadline_s, key=entry.fingerprint
         )
-        response = {
-            "attributes": scorer.attributes,
+        _log.debug(
+            "score.ok", rows=len(normalised),
+            batched_with=pending.batched_with,
+        )
+        return {
+            "attributes": entry.scorer.attributes,
             "flags": pending.flags,
             "n_rows": len(normalised),
             "batched_with": pending.batched_with,
+            "fingerprint": entry.fingerprint,
         }
-        if key is not None:
-            response["fingerprint"] = key
-        return response
 
     def reload_artifact(self, path: str | Path | None = None) -> dict:
-        """Swap in a freshly loaded artifact without dropping requests.
+        """Load an artifact and upsert it without dropping requests.
 
-        ``path`` defaults to the artifact the service was started from.
+        ``path`` defaults to the default tenant's artifact.  The loaded
+        artifact replaces the tenant with its schema fingerprint, or
+        adds a tenant for a new one; re-reading a path a tenant is
+        known by must still yield that tenant's schema, else
+        :class:`ArtifactError` and the old scorer keeps serving (see
+        :meth:`ArtifactRegistry.upsert`).
 
-        Single-tenant: the new artifact must carry the same attribute
-        schema — a service cannot change its wire contract mid-flight —
-        anything else raises :class:`ArtifactError` and the old scorer
-        keeps serving.
-
-        Registry mode: reload is an *upsert* — a same-fingerprint
-        artifact replaces that tenant, a new fingerprint adds one (the
-        wire contract is per-tenant, so a new schema is a new tenant,
-        not a mismatch).
-
-        Either way the swap is atomic at a batch boundary: an in-flight
-        batch finishes on the scorer it resolved when scoring started,
-        and worker processes detect the changed ``arrays_sha256`` and
+        The swap is atomic at a batch boundary: an in-flight batch
+        finishes on the scorer it resolved when scoring started, and
+        worker processes detect the changed ``arrays_sha256`` and
         reload before their next batch.
         """
-        target = Path(path) if path is not None else self.artifact_path
+        target = path if path is not None else self.artifact_path
         if target is None:
             raise ArtifactError(
                 "no artifact path: the service was not started from an "
                 "artifact and the reload request named none"
             )
-        if self._registry is not None:
-            entry = self._registry.upsert(target)
-            if entry.fingerprint == self.default_fingerprint:
-                self.scorer = entry.scorer
-                self.artifact_path = entry.path
-                self._artifact_ref = (entry.path, entry.arrays_sha256)
-            with self._stats_lock:
-                self.n_reloads += 1
-            _log.info(
-                "artifact.reloaded",
-                artifact=str(target),
-                fingerprint=entry.fingerprint,
-            )
-            return {
-                "reloaded": True,
-                "artifact": str(target),
-                "fingerprint": entry.fingerprint,
-                "resident": len(self._registry.fingerprints()),
-                "llm_model": entry.scorer.llm_model,
-                "train_rows": entry.scorer.train_rows,
-                "arrays_sha256": entry.arrays_sha256,
-                "reloads": self.n_reloads,
-            }
-        fresh = BatchScorer.from_artifact(
-            target, n_jobs=self.scorer.config.n_jobs
-        )
-        if fresh.attributes != self.scorer.attributes:
-            raise ArtifactError(
-                f"reload schema mismatch: serving {self.scorer.attributes!r}"
-                f", {target} carries {fresh.attributes!r}"
-            )
-        self.scorer = fresh
-        self.artifact_path = target
-        self._artifact_ref = (target, fresh.info.get("arrays_sha256"))
+        entry = self.registry.upsert(target)
         with self._stats_lock:
             self.n_reloads += 1
-        _log.info("artifact.reloaded", artifact=str(target))
+        _log.info(
+            "artifact.reloaded",
+            artifact=str(target),
+            fingerprint=entry.fingerprint,
+        )
         return {
             "reloaded": True,
             "artifact": str(target),
-            "llm_model": fresh.llm_model,
-            "train_rows": fresh.train_rows,
-            "arrays_sha256": fresh.info.get("arrays_sha256"),
+            "fingerprint": entry.fingerprint,
+            "resident": len(self.registry.fingerprints()),
+            "llm_model": entry.scorer.llm_model,
+            "train_rows": entry.scorer.train_rows,
+            "arrays_sha256": entry.arrays_sha256,
             "reloads": self.n_reloads,
         }
 
@@ -980,11 +925,7 @@ class ScoringService:
             "degraded_attrs": resilience.get("degraded_attrs") or {},
             "circuit_breaker": breaker,
             "workers": self.n_workers,
-            "registry": (
-                self._registry.snapshot()
-                if self._registry is not None
-                else None
-            ),
+            "registry": self.registry.snapshot(),
         }
 
     def readiness(self) -> tuple[int, dict]:
@@ -1034,58 +975,66 @@ def _make_handler(service: ScoringService):
         def log_message(self, *args) -> None:  # keep test output quiet
             pass
 
-        def _count(self, status: int) -> None:
-            path = (
-                self.path if self.path in self._KNOWN_PATHS else "other"
-            )
+        def _reply(
+            self,
+            status: int,
+            body,
+            content_type: str = "application/json",
+            headers: tuple = (),
+        ) -> None:
+            """The one response writer: count, status, headers, body.
+
+            ``body`` is bytes, or an open binary file streamed in
+            64 KiB chunks so a large file never materialises in
+            handler memory; Content-Length keeps the keep-alive
+            connection clean either way.
+            """
+            path = self.path if self.path in self._KNOWN_PATHS else "other"
             service._m_http.inc(path=path, status=str(status))
-
-        def _send(self, status: int, payload: dict) -> None:
-            self._count(status)
-            body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Type", content_type)
+            for name, value in headers:
+                self.send_header(name, value)
+            if isinstance(body, bytes):
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                return
+            size = os.fstat(body.fileno()).st_size
+            self.send_header("Content-Length", str(size))
             self.end_headers()
-            self.wfile.write(body)
+            shutil.copyfileobj(body, self.wfile, 64 * 1024)
 
-        def _send_error(self, status: int, code: str, message: str) -> None:
+        def _send(self, status: int, payload: dict, headers=()) -> None:
+            body = json.dumps(payload).encode("utf-8")
+            self._reply(status, body, headers=headers)
+
+        def _send_error(
+            self, status: int, code: str, message: str, headers=()
+        ) -> None:
             # "error" stays a plain human-readable string (the wire
             # contract clients already parse); "code" is the stable
             # machine-routable label.
-            self._send(status, {"error": message, "code": code})
+            self._send(status, {"error": message, "code": code}, headers)
 
         def _read_body(self) -> bytes:
+            raw = self.headers.get("Content-Length")
             try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError as exc:
-                raise ArtifactError(
-                    f"invalid Content-Length header: "
-                    f"{self.headers.get('Content-Length')!r}"
-                ) from exc
-            cap = service.max_body_bytes
-            if length > cap:
-                raise _PayloadTooLarge
-            return self.rfile.read(length)
+                length = int(raw or 0)
+            except ValueError:
+                length = -1
+            if 0 <= length <= service.max_body_bytes:
+                return self.rfile.read(length)
+            # The body stays unread (a negative length would block the
+            # read until the socket deadline): reply, then drop the
+            # connection so its bytes cannot be misread as a follow-up
+            # request on the keep-alive.
+            self.close_connection = True
+            if length < 0:
+                raise ArtifactError(f"invalid Content-Length header: {raw!r}")
+            raise _PayloadTooLarge
 
-        def _send_shed(self, message: str) -> None:
-            # 503 + Retry-After: the one header a well-behaved client
-            # needs to back off instead of hammering a full queue.
-            self._count(503)
-            body = json.dumps(
-                {"error": message, "code": "overloaded"}
-            ).encode("utf-8")
-            self.send_response(503)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Retry-After", str(service.retry_after_s))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _stream_artifact_arrays(self) -> None:
-            # Stream the bulk arrays file in bounded chunks: the ~46 MB
-            # (v1) payload must never materialise in handler memory,
-            # and Content-Length keeps the keep-alive connection clean.
+        def _send_artifact_arrays(self) -> None:
             if service.artifact_path is None:
                 self._send_error(
                     404,
@@ -1093,55 +1042,34 @@ def _make_handler(service: ScoringService):
                     "service was not started from an artifact directory",
                 )
                 return
-            from repro.serving.artifact import ARRAYS_NAME
-
             arrays_path = service.artifact_path / ARRAYS_NAME
             if not arrays_path.is_file():
                 self._send_error(
                     404, "not_found", f"{arrays_path} does not exist"
                 )
                 return
-            size = arrays_path.stat().st_size
-            self._count(200)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(size))
-            self.send_header(
-                "Content-Disposition",
-                f'attachment; filename="{ARRAYS_NAME}"',
-            )
-            self.end_headers()
+            disposition = f'attachment; filename="{ARRAYS_NAME}"'
             with open(arrays_path, "rb") as fh:
-                while True:
-                    chunk = fh.read(64 * 1024)
-                    if not chunk:
-                        break
-                    self.wfile.write(chunk)
-
-        def _send_metrics(self) -> None:
-            # Prometheus text exposition — not JSON, so it bypasses
-            # _send; the collector refreshes bridged metrics from the
-            # same snapshots /healthz reads.
-            body = service.metrics.render().encode("utf-8")
-            self._count(200)
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+                self._reply(
+                    200, fh, "application/octet-stream",
+                    (("Content-Disposition", disposition),),
+                )
 
         def do_GET(self) -> None:
             if self.path == "/healthz":
                 self._send(200, service.health())
             elif self.path == "/readyz":
-                status, body = service.readiness()
-                self._send(status, body)
+                self._send(*service.readiness())
             elif self.path == "/metrics":
-                self._send_metrics()
+                # Prometheus text exposition, not JSON; the collector
+                # refreshes bridged metrics from the same snapshots
+                # /healthz reads.
+                body = service.metrics.render().encode("utf-8")
+                self._reply(200, body, PROMETHEUS_CONTENT_TYPE)
             elif self.path == "/artifact":
                 self._send(200, service.scorer.info)
             elif self.path == "/artifact/arrays":
-                self._stream_artifact_arrays()
+                self._send_artifact_arrays()
             else:
                 self._send_error(
                     404, "not_found", f"unknown path {self.path!r}"
@@ -1149,39 +1077,34 @@ def _make_handler(service: ScoringService):
 
         def do_POST(self) -> None:
             if self.path == "/reload":
-                self._handle_reload()
-                return
-            if self.path != "/score":
+                self._answer_json(
+                    lambda payload: service.reload_artifact(
+                        payload.get("artifact")
+                    )
+                )
+            elif self.path == "/score":
+                with service._stats_lock:
+                    service.n_requests += 1
+                # Every log line emitted while this request is handled —
+                # including batch-scoring lines on the lane threads via
+                # the trace ids — carries the request id for correlation.
+                request_id = uuid.uuid4().hex[:12]
+                with obs_log.bind(request_id=request_id):
+                    self._answer_json(service.handle_score)
+            else:
                 self._send_error(
                     404, "not_found", f"unknown path {self.path!r}"
                 )
-                return
-            with service._stats_lock:
-                service.n_requests += 1
-            # Every log line emitted while this request is handled —
-            # including batch-scoring lines on the lane threads via the
-            # trace ids — carries the request id for correlation.
-            request_id = uuid.uuid4().hex[:12]
-            with obs_log.bind(request_id=request_id):
-                self._handle_score_body()
 
-        def _handle_score_body(self) -> None:
+        def _answer_json(self, handle) -> None:
+            """Parse a JSON-object body, answer 200 with
+            ``handle(payload)``, and map each failure to its status."""
             try:
                 payload = json.loads(self._read_body() or b"{}")
                 if not isinstance(payload, dict):
                     raise ArtifactError("body must be a JSON object")
-                response = service.handle_score(payload)
-                _log.debug(
-                    "score.ok",
-                    rows=response["n_rows"],
-                    batched_with=response["batched_with"],
-                )
-                self._send(200, response)
+                self._send(200, handle(payload))
             except _PayloadTooLarge:
-                # The oversized body was never read; drop the
-                # connection after replying so its bytes cannot be
-                # misread as a follow-up request on the keep-alive.
-                self.close_connection = True
                 self._send_error(
                     413,
                     "payload_too_large",
@@ -1193,11 +1116,15 @@ def _make_handler(service: ScoringService):
                 self._send_error(400, "invalid_json", f"invalid JSON: {exc}")
             except ServiceOverloaded as exc:
                 _log.warning("score.shed", error=str(exc))
-                self._send_shed(str(exc))
-            except DeadlineExceeded as exc:
+                # 503 + Retry-After: the one header a well-behaved
+                # client needs to back off instead of hammering a full
+                # queue.
+                self._send_error(
+                    503, "overloaded", str(exc),
+                    (("Retry-After", str(RETRY_AFTER_S)),),
+                )
+            except (DeadlineExceeded, TimeoutError) as exc:
                 _log.warning("score.deadline_expired", error=str(exc))
-                self._send_error(504, "deadline_exceeded", str(exc))
-            except TimeoutError as exc:
                 self._send_error(504, "deadline_exceeded", str(exc))
             except WorkerPoolBroken as exc:
                 # A dead worker is a server fault, not a bad request.
@@ -1205,26 +1132,6 @@ def _make_handler(service: ScoringService):
             except ReproError as exc:
                 self._send_error(400, "bad_request", str(exc))
             except Exception as exc:  # internal failure, still JSON
-                self._send_error(500, "internal", f"internal error: {exc}")
-
-        def _handle_reload(self) -> None:
-            try:
-                payload = json.loads(self._read_body() or b"{}")
-                if not isinstance(payload, dict):
-                    raise ArtifactError("body must be a JSON object")
-                self._send(
-                    200, service.reload_artifact(payload.get("artifact"))
-                )
-            except _PayloadTooLarge:
-                self.close_connection = True
-                self._send_error(
-                    413, "payload_too_large", "reload body too large"
-                )
-            except json.JSONDecodeError as exc:
-                self._send_error(400, "invalid_json", f"invalid JSON: {exc}")
-            except ReproError as exc:
-                self._send_error(400, "bad_request", str(exc))
-            except Exception as exc:
                 self._send_error(500, "internal", f"internal error: {exc}")
 
     return Handler

@@ -13,6 +13,10 @@ frozen at fixture-creation time, and round-trip through ``/reload``.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,6 +222,145 @@ class TestRegistryService:
         assert payload["fingerprint"]
 
 
+class TestDefaultTenant:
+    """Every service is a registry whose default tenant is pinned as it
+    is inserted; tenants stay routable by dataset after eviction."""
+
+    def test_default_is_resident_and_pinned_at_start(
+        self, hospital_artifact, flights_artifact, hospital_pair
+    ):
+        probe = ArtifactRegistry()
+        h_bytes = probe.upsert(hospital_artifact).resident_bytes
+        f_bytes = probe.upsert(flights_artifact).resident_bytes
+        svc = ScoringService.from_artifacts(
+            [hospital_artifact, flights_artifact],
+            budget_bytes=max(h_bytes, f_bytes) + 1,
+            port=0,
+        ).start()
+        try:
+            before = svc.registry.snapshot()
+            resident = {e["dataset"]: e for e in before["resident"]}
+            assert resident["hospital"]["pinned"] is True
+            status, _payload = _post(
+                svc.url + "/score", {"rows": _rows(hospital_pair, 1)}
+            )
+            assert status == 200
+            after = svc.registry.snapshot()
+            assert after["misses"] == 0
+            assert after["hits"] > before["hits"]
+        finally:
+            svc.stop()
+
+    def test_dataset_routes_to_an_evicted_tenant(
+        self, hospital_artifact, flights_artifact, hospital_pair
+    ):
+        rows = _rows(hospital_pair, 10)
+        expected = (
+            BatchScorer.from_artifact(hospital_artifact)
+            .score_rows(rows).mask.matrix.tolist()
+        )
+        svc = ScoringService.from_artifacts(
+            [flights_artifact, hospital_artifact], budget_bytes=1, port=0
+        ).start()
+        try:
+            # Re-reading the pinned default evicts hospital, the only
+            # evictable tenant under a 1-byte budget.
+            status, _payload = _post(svc.url + "/reload", {})
+            assert status == 200
+            resident = svc.registry.snapshot()["resident"]
+            assert [e["dataset"] for e in resident] == ["flights"]
+            status, payload = _post(
+                svc.url + "/score", {"rows": rows, "dataset": "hospital"}
+            )
+            assert status == 200 and payload["flags"] == expected
+            assert svc.registry.snapshot()["misses"] == 1
+        finally:
+            svc.stop()
+
+    def test_named_reload_of_a_new_schema_adds_a_tenant(
+        self, hospital_artifact, flights_artifact, hospital_pair,
+        flights_pair,
+    ):
+        """A one-artifact service is a registry of one: a different
+        schema reloaded by name adds a tenant, and unrouted requests
+        keep the default's flags."""
+        scorer = BatchScorer.from_artifact(hospital_artifact)
+        h_rows, f_rows = _rows(hospital_pair, 10), _rows(flights_pair, 10)
+        h_expected = scorer.score_rows(h_rows).mask.matrix.tolist()
+        f_expected = (
+            BatchScorer.from_artifact(flights_artifact)
+            .score_rows(f_rows).mask.matrix.tolist()
+        )
+        svc = ScoringService(
+            scorer, artifact_path=hospital_artifact, port=0
+        ).start()
+        try:
+            status, payload = _post(
+                svc.url + "/reload", {"artifact": str(flights_artifact)}
+            )
+            assert status == 200 and payload["resident"] == 2
+            assert payload["fingerprint"] != svc.default_fingerprint
+            status, payload = _post(svc.url + "/score", {"rows": h_rows})
+            assert status == 200 and payload["flags"] == h_expected
+            assert payload["fingerprint"] == svc.default_fingerprint
+            status, payload = _post(
+                svc.url + "/score", {"rows": f_rows, "dataset": "flights"}
+            )
+            assert status == 200 and payload["flags"] == f_expected
+        finally:
+            svc.stop()
+
+
+class TestServeCommand:
+    """``repro serve`` with two artifacts and a budget, as a process."""
+
+    def test_two_artifacts_route_and_drain_on_sigterm(
+        self, hospital_artifact, flights_artifact, flights_pair
+    ):
+        rows = _rows(flights_pair, 5)
+        expected = (
+            BatchScorer.from_artifact(flights_artifact)
+            .score_rows(rows).mask.matrix.tolist()
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--artifact", str(hospital_artifact),
+                "--artifact", str(flights_artifact),
+                "--registry-budget-mb", "64", "--port", "0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+        )
+        try:
+            url = None
+            for line in proc.stdout:
+                if line.startswith("serving artifact") and " on " in line:
+                    url = line.rsplit(" on ", 1)[1].strip()
+                    break
+            assert url, "repro serve exited before announcing its URL"
+            status, payload = _get(url + "/readyz")
+            assert status == 200 and payload == {"ready": True}
+            status, payload = _post(
+                url + "/score", {"rows": rows, "dataset": "flights"}
+            )
+            assert status == 200 and payload["flags"] == expected
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+
+
 class TestV1BackCompat:
     """The checked-in miniature v1 artifact is the frozen past: every
     future format change must keep loading it bit-for-bit."""
@@ -252,7 +395,7 @@ class TestV1BackCompat:
         """A service born from a v2 flights artifact hot-reloads the v1
         fixture (same schema) and serves its flags."""
         expected = json.loads(V1_EXPECTED.read_text())
-        svc = ScoringService.from_artifact(flights_artifact, port=0).start()
+        svc = ScoringService.from_artifacts([flights_artifact], port=0).start()
         try:
             status, payload = _post(
                 svc.url + "/reload", {"artifact": str(V1_ARTIFACT)}
@@ -270,8 +413,8 @@ class TestV1BackCompat:
         """Workers must load v1 artifacts too — back-compat extends to
         the process-pool path."""
         expected = json.loads(V1_EXPECTED.read_text())
-        svc = ScoringService.from_artifact(
-            V1_ARTIFACT, workers=1, port=0
+        svc = ScoringService.from_artifacts(
+            [V1_ARTIFACT], workers=1, port=0
         ).start()
         try:
             status, payload = _post(

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ from repro.serving.artifact import ARTIFACT_VERSION
 from repro.serving.scorer import BatchScorer
 from repro.serving import service as service_mod
 from repro.serving.service import DeadlineExceeded, ScoringService
+
+#: A checked-in artifact whose schema differs from the hospital fit's.
+V1_FLIGHTS = Path(__file__).parent / "data" / "flights_v1_artifact"
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +305,26 @@ class TestHardening:
         assert payload["code"] == "payload_too_large"
         assert "2048" in payload["error"]
 
+    def test_negative_content_length_is_rejected_at_once(self, service):
+        """A negative length must not reach ``rfile.read(-1)``, which
+        blocks until the socket read deadline and then answers 504."""
+        request = (
+            b"POST /score HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+        )
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        payload = json.loads(body)
+        assert payload["code"] == "bad_request"
+        assert "Content-Length" in payload["error"]
+
     def test_small_body_passes_the_cap(self, capped_service, scorer):
         attr = scorer.attributes[0]
         status, payload = _post(
@@ -489,7 +514,7 @@ class TestResilience:
         assert status == 200 and len(payload["flags"]) == 1
 
     def test_reload_swaps_the_artifact(self, artifact_path):
-        svc = ScoringService.from_artifact(artifact_path, port=0).start()
+        svc = ScoringService.from_artifacts([artifact_path], port=0).start()
         try:
             before = svc.scorer
             status, payload = _post(svc.url + "/reload", {})
@@ -510,7 +535,7 @@ class TestResilience:
             svc.stop()
 
     def test_reload_missing_artifact_is_rejected(self, artifact_path):
-        svc = ScoringService.from_artifact(artifact_path, port=0).start()
+        svc = ScoringService.from_artifacts([artifact_path], port=0).start()
         try:
             before = svc.scorer
             status, payload = _post(
@@ -530,12 +555,15 @@ class TestResilience:
         finally:
             svc.stop()
 
+    @pytest.mark.parametrize("n_artifacts", [1, 2])
     def test_reload_schema_mismatch_is_rejected(
-        self, artifact_path, monkeypatch
+        self, artifact_path, monkeypatch, n_artifacts
     ):
         from types import SimpleNamespace
 
-        svc = ScoringService.from_artifact(artifact_path, port=0)
+        svc = ScoringService.from_artifacts(
+            [artifact_path, V1_FLIGHTS][:n_artifacts], port=0
+        )
         before = svc.scorer
         monkeypatch.setattr(
             BatchScorer,
@@ -617,7 +645,7 @@ class TestArtifactStreaming:
     def test_streamed_bytes_equal_the_file(self, artifact_path):
         from repro.serving.artifact import ARRAYS_NAME
 
-        svc = ScoringService.from_artifact(artifact_path, port=0).start()
+        svc = ScoringService.from_artifacts([artifact_path], port=0).start()
         try:
             with urllib.request.urlopen(
                 svc.url + "/artifact/arrays", timeout=30
@@ -652,8 +680,8 @@ class TestWorkers:
     ):
         rows = [hospital.dirty.row(i) for i in range(24)]
         expected = scorer.score_rows(rows).mask.matrix.tolist()
-        svc = ScoringService.from_artifact(
-            artifact_path, workers=workers, port=0
+        svc = ScoringService.from_artifacts(
+            [artifact_path], workers=workers, port=0
         ).start()
         try:
             status, payload = _post(svc.url + "/score", {"rows": rows})
@@ -672,8 +700,8 @@ class TestWorkers:
         cache is validated by arrays_sha256, not just path)."""
         rows = [hospital.dirty.row(i) for i in range(10)]
         expected = scorer.score_rows(rows).mask.matrix.tolist()
-        svc = ScoringService.from_artifact(
-            artifact_path, workers=1, port=0
+        svc = ScoringService.from_artifacts(
+            [artifact_path], workers=1, port=0
         ).start()
         try:
             status, first = _post(svc.url + "/score", {"rows": rows})
