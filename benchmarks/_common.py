@@ -58,9 +58,9 @@ def calibrate_gemm_s() -> float:
 
     Shaped like the pipeline's hot loops (tall-skinny times wide); the
     fastest of several repeats factors out one-off page faults.  The
-    smoke benchmarks divide their measured wall time by this figure so
-    their CI regression gates compare *calibration-units* — slower CI
-    hardware rescales both sides instead of tripping the gate.
+    timing gates in ``test_perf_gates.py`` divide their measured wall
+    time by this figure so they compare *calibration-units* — slower
+    CI hardware rescales both sides instead of tripping the gate.
     """
     rng = np.random.default_rng(0)
     a = rng.normal(0, 1, (2_000, 128))

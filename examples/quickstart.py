@@ -114,8 +114,10 @@ def main() -> None:
     #
     #    or in code: ZeroED(sample_rows=5000).fit(table), then
     #    scorer.score_csv(path, chunk_rows=50_000, n_jobs=4).
-    #    See BENCH_streaming.json for recorded rows/s and peak-memory
-    #    figures at 100k / 1M rows.
+    #    The repository benchmark measures streamed rows/s and peak
+    #    memory on a 52k-row file:
+    #
+    #        python3 perfbench/run.py --workload fit-stream-tax
 
     # 8. Resilient serving (resumable jobs + a hardened service).  A
     #    multi-hour streaming job should survive a crash: pass a
@@ -183,11 +185,14 @@ def main() -> None:
     #        curl -s localhost:8537/reload -d '{"artifact": "beers_art/"}'
     #
     #    Artifacts are format v2 now — pooled deduplicated
-    #    vocabularies in a compressed npz, several times smaller on
-    #    disk, loading byte-identically (v1 artifacts still load; see
-    #    BENCH_serving.json for the measured ratio and the workers
-    #    throughput sweep).  GET /artifact/arrays streams the bulk
-    #    file in chunks for replica warm-up.
+    #    vocabularies in a compressed npz, smaller on disk than the
+    #    arrays they decode to, loading byte-identically (v1 artifacts
+    #    still load).  GET /artifact/arrays streams the bulk file in
+    #    chunks for replica warm-up.  The repository benchmark's
+    #    serve-tax workload measures one-row latency and saturated
+    #    throughput of a live service:
+    #
+    #        python3 perfbench/run.py --workload serve-tax
 
     # 10. Unified telemetry (observe-only: masks are byte-identical
     #     with everything below on or off).  Three faces, one layer:
@@ -197,7 +202,7 @@ def main() -> None:
     #     and load it at https://ui.perfetto.dev to see where a fit
     #     actually spends its time:
     #
-    #         repro fit --dataset hospital --rows 500 \
+    #         repro fit hospital --rows 500 \
     #               --artifact-out art/ --trace-out fit_trace.json
     #
     #     or in code:
@@ -212,8 +217,8 @@ def main() -> None:
     #         tracer.export("fit_trace.json")
     #
     #     The default tracer is a no-op (~nanoseconds per span; the
-    #     CI gate in benchmarks/bench_obs.py holds the enabled tracer
-    #     within 5% of it).
+    #     CI timing gate in benchmarks/test_perf_gates.py holds the
+    #     enabled tracer within 5% of it while scoring).
     #
     #     Prometheus metrics — the service exposes GET /metrics in
     #     text exposition format: request/latency histograms and

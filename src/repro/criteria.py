@@ -73,8 +73,6 @@ class Criterion:
     context_attrs: list[str] = field(default_factory=list)
     _fn: object = None
     _cache: dict = field(default_factory=dict, repr=False)
-    _failures: int = 0
-    max_failures: int = 50
 
     @classmethod
     def from_spec(cls, attr: str, spec: Mapping) -> "Criterion":
@@ -87,11 +85,6 @@ class Criterion:
         )
         crit._fn = compile_function(crit.source, crit.name)
         return crit
-
-    @property
-    def is_broken(self) -> bool:
-        """True once the criterion exceeded its runtime failure budget."""
-        return self._failures > self.max_failures
 
     def _row_key(self, row: Mapping[str, str]) -> tuple:
         return (row.get(self.attr, ""),) + tuple(
@@ -106,7 +99,6 @@ class Criterion:
         try:
             result = bool(self._fn(row, self.attr))
         except Exception:
-            self._failures += 1
             result = False
         if len(self._cache) < 500_000:
             self._cache[key] = result

@@ -182,19 +182,6 @@ def iter_csv_chunks(
             yield Table.from_rows(header, rows, name=name)
 
 
-def count_csv_rows(path: str | Path) -> int:
-    """Number of data rows in a CSV (header excluded), streamed.
-
-    Uses the csv parser (not line counting), so quoted embedded
-    newlines count as one row — the same row count the readers above
-    produce.
-    """
-    path = Path(path)
-    fh, reader, _header = _open_rows(path)
-    with fh:
-        return sum(1 for _ in reader)
-
-
 def write_csv(table: Table, path: str | Path) -> None:
     """Write a :class:`Table` to CSV with a header row."""
     path = Path(path)
@@ -210,8 +197,8 @@ def append_csv_rows(table: Table, path: str | Path) -> None:
 
     The chunked *writer* counterpart of :func:`iter_csv_chunks`: large
     synthetic datasets are produced shard-by-shard without ever holding
-    the full table (see ``benchmarks/bench_streaming.py``).  The
-    table's schema must match the file's header.
+    the full table (``perfbench`` builds its streamed CSV this way).
+    The table's schema must match the file's header.
     """
     path = Path(path)
     header = None

@@ -22,7 +22,7 @@ from repro.data.injector import (
 from repro.data.kb import KnowledgeBase
 from repro.data.rules import Rule
 from repro.data.table import Table
-from repro.ml.rng import RngLike, as_generator, spawn
+from repro.ml.rng import RngLike, spawn
 
 
 @dataclass
@@ -127,11 +127,3 @@ def date_ymd(rng: np.random.Generator, year_lo: int, year_hi: int) -> str:
     month = int(rng.integers(1, 13))
     day = int(rng.integers(1, 29))
     return f"{year}-{month:02d}-{day:02d}"
-
-
-def sentence_case(words: list[str]) -> str:
-    return " ".join(words)
-
-
-def make_rng(seed: RngLike) -> np.random.Generator:
-    return as_generator(seed)

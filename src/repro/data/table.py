@@ -11,7 +11,7 @@ attribute value is NULL, it is represented as an empty string").
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.data.encoding import ColumnEncoding
 from repro.errors import DataError, SchemaError
@@ -192,10 +192,6 @@ class Table:
             ps = PairStats.compute(self, lhs, rhs)
             self._pair_stats[key] = ps
         return ps
-
-    def iter_rows(self) -> Iterator[dict[str, str]]:
-        for i in range(self._n_rows):
-            yield self.row(i)
 
     # ------------------------------------------------------------------
     # Slicing

@@ -13,8 +13,8 @@ Two tracer implementations share that interface:
 * :class:`NoopTracer` — the **default**.  Its spans measure elapsed
   time (two ``perf_counter`` calls, one tiny object) and record
   nothing: no lock, no context variable, no allocation growth.  The
-  overhead against a bare ``perf_counter`` pair is benchmarked and
-  gated in ``benchmarks/bench_obs.py``.
+  recording tracer's overhead over it while scoring is gated in
+  ``benchmarks/test_perf_gates.py``.
 * :class:`Tracer` — records every finished span (name, attributes,
   ids, thread, start/end) under a lock and exports them as Chrome
   trace-event JSON (``{"traceEvents": [...]}``, microsecond ``ts`` /

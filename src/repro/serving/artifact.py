@@ -74,8 +74,7 @@ bit-for-bit, so a v2 round-trip scores byte-identically to v1 and to
 the in-memory scorer.  The ``encoding`` manifest key records which
 keys were pooled/downcast; the SHA-256 integrity scheme is unchanged
 (the checksum covers the on-disk payload).  Readers accept versions
-1 and 2; ``save(..., version=1)`` still writes the v1 layout for
-back-compat tooling and tests.
+1 and 2; :meth:`DetectorArtifact.save` writes v2 only.
 """
 
 from __future__ import annotations
@@ -375,33 +374,22 @@ class DetectorArtifact:
     # ------------------------------------------------------------------
     # Disk round-trip
     # ------------------------------------------------------------------
-    def save(self, path: str | Path, *, version: int | None = None) -> Path:
+    def save(self, path: str | Path) -> Path:
         """Write ``manifest.json`` + ``arrays.npz`` under ``path``.
 
-        ``version`` picks the on-disk layout (default: the current
-        :data:`ARTIFACT_VERSION`).  v2 pools strings, downcasts
-        losslessly and compresses; v1 writes the historical raw
-        uncompressed bundle — both decode to the same logical arrays,
-        so the choice never changes scores, only bytes on disk.
+        Always the current :data:`ARTIFACT_VERSION` layout: pooled
+        strings, lossless downcasts, deflate.  A loaded v1 artifact
+        re-saves as v2 and decodes to the same logical arrays, so
+        re-saving never changes scores, only bytes on disk.
         """
-        version = ARTIFACT_VERSION if version is None else int(version)
-        if version not in SUPPORTED_VERSIONS:
-            raise ArtifactError(
-                f"cannot write artifact version {version}; supported: "
-                f"{SUPPORTED_VERSIONS}"
-            )
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         manifest = dict(self.manifest)
-        manifest["version"] = version
+        manifest["version"] = ARTIFACT_VERSION
+        encoded, encoding_meta = _encode_v2(self.arrays)
+        manifest["encoding"] = encoding_meta
         buffer = io.BytesIO()
-        if version == 1:
-            manifest.pop("encoding", None)
-            np.savez(buffer, **self.arrays)
-        else:
-            encoded, encoding_meta = _encode_v2(self.arrays)
-            manifest["encoding"] = encoding_meta
-            np.savez_compressed(buffer, **encoded)
+        np.savez_compressed(buffer, **encoded)
         payload = buffer.getvalue()
         (directory / ARRAYS_NAME).write_bytes(payload)
         manifest["arrays_sha256"] = hashlib.sha256(payload).hexdigest()

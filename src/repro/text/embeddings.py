@@ -202,20 +202,3 @@ class SubwordHashEmbedding:
             else:
                 out[i] = np.mean([vectors[t] for t in tokens], axis=0)
         return out
-
-    def embed_many(self, values: list[str]) -> np.ndarray:
-        """Embed a list of values into an ``(n, dim)`` matrix.
-
-        Repeated values are embedded once (tabular columns are highly
-        repetitive); interned callers use :meth:`embed_uniques` plus a
-        ``[codes]`` gather instead.
-        """
-        unique: dict[str, np.ndarray] = {}
-        out = np.empty((len(values), self.dim))
-        for i, v in enumerate(values):
-            vec = unique.get(v)
-            if vec is None:
-                vec = self.embed(v)
-                unique[v] = vec
-            out[i] = vec
-        return out

@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.csvio import (
     append_csv_rows,
-    count_csv_rows,
     iter_csv_chunks,
     read_csv,
     write_csv,
@@ -102,17 +101,6 @@ class TestIterCsvChunks:
         _, path = self._write(tmp_path, [["x", "1"]])
         with pytest.raises(DataError):
             list(iter_csv_chunks(path, 0))
-
-
-def test_count_csv_rows(tmp_path):
-    t = Table.from_rows(
-        ["a", "b"], [["multi\nline", "1"], ["x,y", "2"], ["", ""]]
-    )
-    path = tmp_path / "t.csv"
-    write_csv(t, path)
-    # Quoted embedded newline counts as one row (csv-parsed, not
-    # line-counted).
-    assert count_csv_rows(path) == 3
 
 
 class TestAppendCsvRows:

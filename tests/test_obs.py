@@ -407,6 +407,39 @@ class TestObserveOnly:
             }
             assert seen == set(beers.dirty.attributes)
 
+    def test_scoring_trace_is_complete_and_valid(self, beers, tmp_path):
+        """A traced score exports the scoring spans as a loadable trace
+        and flags the same cells as an untraced one."""
+        scorer = ZeroED(_small_config()).fit(beers.dirty).scorer(n_jobs=2)
+        table = get_dataset("beers").make(n_rows=40, seed=5).dirty
+        untraced = scorer.score_table(table)
+        tracer = trace.Tracer()
+        trace.set_tracer(tracer)
+        try:
+            traced = scorer.score_table(table)
+        finally:
+            trace.set_tracer(None)
+        assert (
+            traced.mask.matrix.tobytes() == untraced.mask.matrix.tobytes()
+        )
+        out = tracer.export(tmp_path / "score_trace.json")
+        events = json.loads(out.read_text())["traceEvents"]
+        by_id = {e["args"]["span_id"]: e for e in events}
+        assert {"featurize", "base_matrix", "predict"} <= {
+            e["name"] for e in events
+        }
+        for event in events:
+            assert event["ph"] == "X" and event["dur"] >= 0, event
+            if "parent_id" in event["args"]:
+                assert event["args"]["parent_id"] in by_id, event
+        # The per-attribute fan-out runs on pool threads and must stay
+        # parented to the featurize span that submitted it.
+        blocks = [e for e in events if e["name"] == "base_matrix"]
+        assert {e["args"]["attr"] for e in blocks} == set(table.attributes)
+        for event in blocks:
+            parent = by_id.get(event["args"].get("parent_id"), {})
+            assert parent.get("name") == "featurize", event
+
     def test_fit_restores_noop_tracer(self, beers, tmp_path):
         config = _small_config(trace_out=str(tmp_path / "t.json"))
         ZeroED(config).fit(beers.dirty)

@@ -172,6 +172,20 @@ class TestArtifactRoundTrip:
             threaded.score_table(hospital_other.dirty).mask.matrix,
         )
 
+    @pytest.mark.parametrize("engine", ["exact", "fast"])
+    def test_v2_arrays_smaller_than_decoded(
+        self, hospital, config, engine, tmp_path
+    ):
+        """Pooled strings, downcasts and deflate put fewer bytes on
+        disk than the loaded scorer holds decoded (a raw v1 bundle of
+        the same arrays is larger than its decoded bytes)."""
+        cfg = dataclasses.replace(
+            config, sampling_engine=engine, detector_engine=engine
+        )
+        path = ZeroED(cfg).fit(hospital.dirty).save(tmp_path / "artifact")
+        decoded = BatchScorer.from_artifact(path).info["decoded_bytes"]
+        assert (path / "arrays.npz").stat().st_size < decoded
+
     def test_manifest_records_criteria_accuracies(self, artifact_dir):
         manifest = json.loads((artifact_dir / "manifest.json").read_text())
         specs = [

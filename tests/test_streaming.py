@@ -5,8 +5,9 @@ Pinned properties:
 * **Chunked/in-memory equivalence** — ``score_chunks`` over any shard
   size (1, 7, 100, > n_rows) and any worker count assembles a mask
   byte-identical to ``score_table`` on the whole table, on two
-  datasets, including a chunk boundary that splits a run of duplicate
-  values (the unique-value fold's hardest case).
+  datasets and for both detector engines, including a chunk boundary
+  that splits a run of duplicate values (the unique-value fold's
+  hardest case).
 * **Shard-offset row ids** — scoring a shard with ``row_offset`` keeps
   the mask local but reports *global* error-cell row ids; the streaming
   manifest's offsets tile the stream exactly.
@@ -14,11 +15,13 @@ Pinned properties:
   seeded reservoir whose provenance rides into the artifact manifest
   (``"sample"``); pre-PR-7 manifests without the key still load.
 * **Bounded memory** — the chunked CSV path's peak allocation stays
-  far below the whole-table path's on the same file.
+  far below the whole-table path's on the same file, and within a
+  fixed multiple of one warm chunk however long the file is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -27,7 +30,12 @@ import pytest
 
 from repro.config import ZeroEDConfig
 from repro.core.pipeline import ZeroED
-from repro.data.csvio import append_csv_rows, read_csv, write_csv
+from repro.data.csvio import (
+    append_csv_rows,
+    iter_csv_chunks,
+    read_csv,
+    write_csv,
+)
 from repro.data.mask import ErrorMask
 from repro.data.registry import get_dataset
 from repro.data.table import Table
@@ -44,6 +52,17 @@ from repro.serving.streaming import (
 
 def _sha(mask: ErrorMask) -> str:
     return hashlib.sha256(mask.matrix.tobytes()).hexdigest()
+
+
+def _traced(fn):
+    """Run ``fn`` under tracemalloc; return (result, peak_bytes)."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
 
 
 @pytest.fixture(scope="module")
@@ -79,36 +98,60 @@ def beers_foreign() -> Table:
     return get_dataset("beers").make(n_rows=73, seed=19).dirty
 
 
+@pytest.fixture(scope="module", params=["hospital", "beers"])
+def fast_case(request, config) -> tuple[BatchScorer, Table]:
+    """A fast-engine scorer fitted on the same slice as the exact
+    fixture of its dataset, with that dataset's foreign table."""
+    name = request.param
+    n_rows, seed = {"hospital": (150, 7), "beers": (120, 3)}[name]
+    dirty = get_dataset(name).make(n_rows=n_rows, seed=seed).dirty
+    fast = dataclasses.replace(
+        config, sampling_engine="fast", detector_engine="fast"
+    )
+    scorer = ZeroED(fast).fit(dirty).scorer()
+    return scorer, request.getfixturevalue(f"{name}_foreign")
+
+
+def _assert_chunked_equals_whole(scorer, table, chunk_rows, jobs):
+    whole = scorer.score_table(table)
+    chunked = score_chunks(
+        scorer,
+        iter_table_chunks(table, chunk_rows),
+        chunk_rows=chunk_rows,
+        n_jobs=jobs,
+    )
+    assert _sha(chunked.mask) == _sha(whole.mask)
+    assert chunked.mask.attributes == whole.mask.attributes
+    assert chunked.total_rows == table.n_rows
+
+
 class TestChunkedEquivalence:
     @pytest.mark.parametrize("chunk_rows", [1, 7, 100, 1000])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_hospital_byte_identical(
         self, hospital_scorer, hospital_foreign, chunk_rows, jobs
     ):
-        whole = hospital_scorer.score_table(hospital_foreign)
-        chunked = score_chunks(
-            hospital_scorer,
-            iter_table_chunks(hospital_foreign, chunk_rows),
-            chunk_rows=chunk_rows,
-            n_jobs=jobs,
+        _assert_chunked_equals_whole(
+            hospital_scorer, hospital_foreign, chunk_rows, jobs
         )
-        assert _sha(chunked.mask) == _sha(whole.mask)
-        assert chunked.mask.attributes == whole.mask.attributes
-        assert chunked.total_rows == hospital_foreign.n_rows
 
     @pytest.mark.parametrize("chunk_rows", [1, 7, 100, 1000])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_beers_byte_identical(
         self, beers_scorer, beers_foreign, chunk_rows, jobs
     ):
-        whole = beers_scorer.score_table(beers_foreign)
-        chunked = score_chunks(
-            beers_scorer,
-            iter_table_chunks(beers_foreign, chunk_rows),
-            chunk_rows=chunk_rows,
-            n_jobs=jobs,
+        _assert_chunked_equals_whole(
+            beers_scorer, beers_foreign, chunk_rows, jobs
         )
-        assert _sha(chunked.mask) == _sha(whole.mask)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_fast_engine_byte_identical(self, fast_case, chunk_rows, jobs):
+        """The fast engine predicts once per unique key per shard, so
+        its shard masks must not depend on which rows share a shard."""
+        scorer, table = fast_case
+        assert scorer.detector.engine == "fast"
+        _assert_chunked_equals_whole(scorer, table, chunk_rows, jobs)
 
     def test_duplicate_run_split_by_boundary(
         self, hospital_scorer, hospital_foreign
@@ -360,10 +403,10 @@ class TestBoundedMemory:
     ):
         """Streaming peak allocation ≪ in-memory peak on the same file.
 
-        Tier-1 smoke version of the benchmark's 200k-row assertion
-        (``benchmarks/bench_streaming.py --smoke``): a 6k-row file
-        scored at chunk_rows=300 must peak well under half of what the
-        whole-table path allocates.
+        A 6k-row file scored at chunk_rows=300 must peak well under
+        half of what the whole-table path allocates.  The bound in
+        units of one chunk is
+        :meth:`test_stream_peak_within_eight_warm_chunks`.
         """
         path = tmp_path / "big.csv"
         write_csv(hospital_foreign, path)
@@ -371,20 +414,59 @@ class TestBoundedMemory:
             # 97 * 2**5 ≈ 6.2k rows, built append-wise.
             append_csv_rows(read_csv(path), path)
 
-        tracemalloc.start()
-        whole = hospital_scorer.score_table(read_csv(path))
-        _, whole_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
-        tracemalloc.start()
-        chunked = hospital_scorer.score_csv(path, chunk_rows=300)
-        _, chunked_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        whole, whole_peak = _traced(
+            lambda: hospital_scorer.score_table(read_csv(path))
+        )
+        chunked, chunked_peak = _traced(
+            lambda: hospital_scorer.score_csv(path, chunk_rows=300)
+        )
 
         assert _sha(chunked.mask) == _sha(whole.mask)
         assert chunked.total_rows == whole.mask.n_rows
         assert chunked_peak < whole_peak / 2, (
             f"chunked peak {chunked_peak} not bounded vs {whole_peak}"
+        )
+
+    def test_stream_peak_within_eight_warm_chunks(
+        self, hospital_scorer, tmp_path
+    ):
+        """``score_csv`` at jobs=2 holds a bounded window of chunks.
+
+        A 5k-row file from 10 generator seeds, scored in 100-row
+        chunks (50 shards), must peak at no more than 8x what one
+        chunk, read and scored alone, peaks at.  The read-ahead window
+        keeps at most 2 x jobs = 4 chunks in flight; holding every
+        chunk reaches ~13x, the whole table ~37x.  One untraced pass
+        first fills the process-wide memo caches, which grow with
+        distinct values up to their caps rather than with rows, so
+        both traced peaks measure per-chunk memory only.
+        """
+        chunk_rows = 100
+        path = tmp_path / "stream.csv"
+        for i, seed in enumerate(range(100, 110)):
+            shard = get_dataset("hospital").make(n_rows=500, seed=seed)
+            (append_csv_rows if i else write_csv)(shard.dirty, path)
+
+        def stream():
+            return hospital_scorer.score_csv(
+                path, chunk_rows=chunk_rows, n_jobs=2
+            )
+
+        def one_chunk():
+            chunks = iter_csv_chunks(path, chunk_rows)
+            try:
+                return hospital_scorer.score_table(next(chunks))
+            finally:
+                chunks.close()
+
+        stream()  # warm-up, untraced
+        _, chunk_peak = _traced(one_chunk)
+        result, stream_peak = _traced(stream)
+        assert result.total_rows == 5_000
+        assert len(result.shards) == 50
+        assert stream_peak <= 8 * chunk_peak, (
+            f"stream peak {stream_peak} B is "
+            f"{stream_peak / chunk_peak:.1f}x one chunk ({chunk_peak} B)"
         )
 
 

@@ -82,11 +82,6 @@ class TestAccess:
     def test_attr_index(self):
         assert make().attr_index("y") == 1
 
-    def test_iter_rows(self):
-        rows = list(make().iter_rows())
-        assert len(rows) == 3
-        assert rows[2] == {"x": "c", "y": "3"}
-
 
 class TestSlicing:
     def test_head(self):

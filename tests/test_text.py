@@ -116,13 +116,6 @@ class TestEmbeddings:
         other = emb.embed("zqwkfuv")
         assert np.linalg.norm(base - typo) < np.linalg.norm(base - other)
 
-    def test_embed_many_matches_embed(self):
-        emb = SubwordHashEmbedding()
-        values = ["aa", "bb", "aa"]
-        matrix = emb.embed_many(values)
-        assert np.allclose(matrix[0], emb.embed("aa"))
-        assert np.allclose(matrix[0], matrix[2])
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SubwordHashEmbedding(dim=0)
