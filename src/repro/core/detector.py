@@ -38,7 +38,7 @@ import numpy as np
 from repro.config import ZeroEDConfig
 from repro.core.featurize import FeatureSpace
 from repro.core.training_data import AttributeTrainingData
-from repro.data.encoding import fold_codes
+from repro.data.encoding import fold_codes, unique_keys
 from repro.data.mask import ErrorMask
 from repro.data.table import Table
 from repro.errors import NotFittedError
@@ -339,9 +339,7 @@ class ErrorDetector:
                     )
                 ]
             )
-            _, first_rows, inverse = np.unique(
-                key, return_index=True, return_inverse=True
-            )
+            _, first_rows, inverse, _ = unique_keys(key)
             proba = np.empty(len(first_rows))
             for start in range(0, len(first_rows), FAST_PREDICT_BLOCK_ROWS):
                 rows = first_rows[start : start + FAST_PREDICT_BLOCK_ROWS]

@@ -29,6 +29,9 @@ pattern features are computed once per distinct value and scattered to
 rows with ``feats[codes]``, vicinity ratios are looked up once per
 distinct ``(q value, attr value)`` pair in the frozen tables, and
 embeddings and criteria likewise evaluate distinct values/combos only.
+The pair and combo folds go through
+:func:`~repro.data.encoding.unique_keys`, so a one-row table (a
+one-row request) is folded without a sort.
 
 An attribute's base features over a table are held as
 :class:`BaseBlocks`: the value-only columns once per distinct value,

@@ -5,9 +5,8 @@ module turns them into safe callables and evaluates them over tables:
 
 * compilation runs in a restricted namespace (fresh builtins, no
   access to the caller's globals);
-* execution failures count as "not clean" for hard failures and are
-  capped — a criterion that raises everywhere is clearly broken and is
-  marked invalid;
+* a criterion that raises counts as "not clean" for that key (its
+  verdict is cached like any other);
 * per-value caching exploits ``context_attrs`` metadata: a criterion
   that reads only ``row[attr]`` is evaluated once per distinct value,
   which keeps the 200k-row Tax workload tractable.
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.encoding import fold_codes
+from repro.data.encoding import fold_codes, unique_keys
 from repro.data.table import Table
 from repro.errors import CriteriaError
 
@@ -115,23 +114,30 @@ class Criterion:
         ``context_attrs`` cells, so it runs once per distinct
         value-combination (found via the table's interned column codes)
         and the verdicts are scattered back to rows with one gather.
+        With no context column in the table the value alone decides:
+        the criterion runs once per ``enc.uniques`` and the verdicts
+        gather by ``enc.codes``, at any table size.
         """
-        value_col = table.column_view(self.attr)
+        enc = table.encoding(self.attr)
         context_names = [a for a in self.context_attrs if a in table.attributes]
-        context_cols = [table.column_view(a) for a in context_names]
-        # One int64 key per row for the (value, context...) combo; 1-D
-        # np.unique over the fold is much cheaper than an axis=0
-        # lexsort (fold_codes falls back to one only when the combined
-        # cardinality overflows int64).
-        key = fold_codes(
-            [table.encoding(self.attr)]
-            + [table.encoding(a) for a in context_names]
-        )
-        _, first_rows, inverse = np.unique(
-            key, return_index=True, return_inverse=True
-        )
         # Each row dict built here is fresh and discarded, so it can go
         # to the compiled function without `check`'s defensive copy.
+        if not context_names:
+            # The codes already are the fold: ids follow first
+            # appearance, the order a sorted fold visits first rows in.
+            verdicts = np.empty(enc.n_unique, dtype=bool)
+            for j, value in enumerate(enc.uniques):
+                row = {self.attr: value}
+                verdicts[j] = self._check_consumable(row, self._row_key(row))
+            return verdicts[enc.codes]
+        value_col = table.column_view(self.attr)
+        context_cols = [table.column_view(a) for a in context_names]
+        # One int64 key per row for the (value, context...) combo; a
+        # 1-D fold is much cheaper than an axis=0 lexsort (fold_codes
+        # falls back to one only when the combined cardinality
+        # overflows int64).
+        key = fold_codes([enc] + [table.encoding(a) for a in context_names])
+        _, first_rows, inverse, _ = unique_keys(key)
         verdicts = np.empty(len(first_rows), dtype=bool)
         for j, i in enumerate(first_rows.tolist()):
             row = {self.attr: value_col[i]}
@@ -172,9 +178,7 @@ class Criterion:
             + [table.encoding(a) for a in key_names],
             row_indices=idx,
         )
-        _, first_pos, inverse = np.unique(
-            key, return_index=True, return_inverse=True
-        )
+        _, first_pos, inverse, _ = unique_keys(key)
         verdicts = np.empty(len(first_pos), dtype=bool)
         for j, p in enumerate(first_pos.tolist()):
             i = int(idx[p])

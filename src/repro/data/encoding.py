@@ -18,11 +18,16 @@ Downstream stages then evaluate per *unique* value and scatter back
 with ``result[codes]`` (a single NumPy gather), and joint statistics
 between two columns become integer-array problems: the pair id
 ``codes_q * n_unique_a + codes_a`` turns co-occurrence counting into
-one ``np.unique(..., return_inverse=True, return_counts=True)`` call
-over the distinct pairs actually present — equivalent to a dense
-``np.add.at`` joint-count matrix but without materialising the
-``n_unique_q × n_unique_a`` grid, which high-cardinality pairs would
-blow up.
+one unique-key fold over the distinct pairs actually present —
+equivalent to a dense ``np.add.at`` joint-count matrix but without
+materialising the ``n_unique_q × n_unique_a`` grid, which
+high-cardinality pairs would blow up.
+
+Every unique-combo fold (joint counts, criteria combos, the fast
+detector's unique keys) goes through :func:`unique_keys`: it returns
+what ``np.unique`` returns with all four outputs, but answers a key of
+at most one row — a one-row request is its own unique — without a
+sort.
 
 Encodings are cached on :class:`~repro.data.table.Table` (see
 ``Table.encoding``) and invalidated by ``set_cell``, the table's only
@@ -120,6 +125,25 @@ def fold_codes(
     return inverse.astype(np.int64, copy=False)
 
 
+def unique_keys(
+    key: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fold of a 1-D key array into its distinct keys.
+
+    Returns exactly ``np.unique(key, return_index=True,
+    return_inverse=True, return_counts=True)``, values and dtypes: the
+    sorted distinct keys, the first row of each, each row's slot among
+    them and each key's count.  A key of length 0 or 1 already is its
+    own fold, so it is answered without sorting.
+    """
+    if len(key) > 1:
+        return np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+    rows = np.arange(len(key), dtype=np.intp)
+    return key.copy(), rows, rows.copy(), np.ones(len(key), dtype=np.intp)
+
+
 def joint_counts(
     lhs: ColumnEncoding, rhs: ColumnEncoding, return_index: bool = False
 ) -> tuple[np.ndarray, ...]:
@@ -134,9 +158,7 @@ def joint_counts(
     if lhs.n_rows != rhs.n_rows:
         raise ValueError("joint_counts needs equally long columns")
     pair = lhs.codes * np.int64(max(rhs.n_unique, 1)) + rhs.codes
-    pairs, first_rows, inverse, counts = np.unique(
-        pair, return_index=True, return_inverse=True, return_counts=True
-    )
+    pairs, first_rows, inverse, counts = unique_keys(pair)
     lhs_codes, rhs_codes = np.divmod(pairs, max(rhs.n_unique, 1))
     out = (lhs_codes, rhs_codes, counts.astype(np.int64), inverse)
     return out + (first_rows,) if return_index else out

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.encoding import ColumnEncoding, joint_counts
+from repro.data.encoding import ColumnEncoding, joint_counts, unique_keys
 from repro.data.table import Table
 from repro.ml.kmeans import KMeans, _count_distinct_rows
 
@@ -37,6 +40,65 @@ def test_joint_counts_sparse_pairs():
     assert pairs == {("p", "1"): 2, ("p", "2"): 1, ("q", "1"): 2}
     # counts[inverse] is the per-row count of the row's own pair
     assert counts[inverse].tolist() == [2, 1, 2, 2, 2]
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _np_unique(key):
+    return np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+
+
+@pytest.mark.parametrize(
+    "key", [[], [5], [3, 3], [9, -2], [4, -1, 4, 9, 0, 9, 4]]
+)
+def test_unique_keys_equals_np_unique(key):
+    key = np.asarray(key, dtype=np.int64)
+    _assert_same_arrays(unique_keys(key), _np_unique(key))
+
+
+# Small values make repeated keys likely; the full range reaches the
+# int64 extremes.
+int64_keys = st.lists(
+    st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    ),
+    max_size=40,
+)
+
+
+@given(int64_keys)
+@settings(max_examples=60, deadline=None)
+def test_unique_keys_equals_np_unique_on_drawn_keys(values):
+    key = np.asarray(values, dtype=np.int64)
+    _assert_same_arrays(unique_keys(key), _np_unique(key))
+
+
+@pytest.mark.parametrize(
+    ("lhs_values", "rhs_values"), [([], []), (["p"], ["1"])]
+)
+def test_joint_counts_of_short_columns_equal_the_sorted_path(
+    lhs_values, rhs_values
+):
+    lhs = ColumnEncoding.from_values(lhs_values)
+    rhs = ColumnEncoding.from_values(rhs_values)
+    width = max(rhs.n_unique, 1)
+    pairs, first_rows, inverse, counts = _np_unique(
+        lhs.codes * width + rhs.codes
+    )
+    sorted_path = np.divmod(pairs, width) + (
+        counts.astype(np.int64), inverse, first_rows
+    )
+    _assert_same_arrays(
+        joint_counts(lhs, rhs, return_index=True), sorted_path
+    )
 
 
 def test_table_encoding_is_cached_and_invalidated_by_set_cell():

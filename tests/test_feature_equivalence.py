@@ -166,26 +166,29 @@ def test_evaluate_column_matches_per_row_check():
     llm = SimulatedLLM(seed=0)
     correlated = correlated_attributes(table, 2, seed=0)
     criteria = generate_initial_criteria(llm, table, correlated, config)
-    for attr, crits in criteria.items():
-        for crit in crits:
-            fast = crit.evaluate_column(table)
-            slow = np.array(
-                [
-                    crit.check(
-                        {
-                            attr: table.cell(i, attr),
-                            **{
-                                q: table.cell(i, q)
-                                for q in crit.context_attrs
-                                if q in table.attributes
-                            },
-                        }
-                    )
-                    for i in range(table.n_rows)
-                ],
-                dtype=bool,
-            )
-            assert (fast == slow).all(), f"{attr}/{crit.name} diverged"
+    # 1-row slices answer every fold without a sort.
+    inputs = [table.select_rows([i]) for i in (0, 31, 69)] + [table]
+    for t in inputs:
+        for attr, crits in criteria.items():
+            for crit in crits:
+                fast = crit.evaluate_column(t)
+                slow = np.array(
+                    [
+                        crit.check(
+                            {
+                                attr: t.cell(i, attr),
+                                **{
+                                    q: t.cell(i, q)
+                                    for q in crit.context_attrs
+                                    if q in t.attributes
+                                },
+                            }
+                        )
+                        for i in range(t.n_rows)
+                    ],
+                    dtype=bool,
+                )
+                assert (fast == slow).all(), f"{attr}/{crit.name} diverged"
 
 
 # SHA-256 of the detection mask (uint8 bytes) produced by the seed

@@ -13,15 +13,26 @@ Pinned properties:
   held at once: masks and embeddings are byte-identical for blocks of
   1, 7 and larger than the table, for any jobs count, on 0-row and
   1-row tables too.
+* **A row scored alone is scored as in any batch** — every row of an
+  unseen table scored alone (``score_rows([row])``, a one-row
+  request) gets exactly its row of the whole-table mask, on both
+  detector engines; any batch of 1–8 of its rows, in any order and
+  with repeats, flags each row as when it is scored alone.  Tax brings
+  criteria with context columns (``state``, ``rate``, ``*_exemp``).
+* **A one-row score sorts nothing** — a row is its own unique key, so
+  a warm one-row score calls ``np.unique`` zero times.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ZeroEDConfig
 from repro.core import detector
@@ -32,6 +43,7 @@ from repro.text import embeddings
 from repro.text.embeddings import SubwordHashEmbedding
 
 BLOCK_SIZES = [1, 7, 1_000_000]
+TABLE_ROWS = 90
 
 
 def _sha(mask) -> str:
@@ -84,12 +96,12 @@ def fast_config() -> ZeroEDConfig:
     )
 
 
-@pytest.fixture(scope="module", params=["hospital", "beers"])
+@pytest.fixture(scope="module", params=["hospital", "beers", "tax"])
 def case(request, fast_config):
     """A fast-engine scorer and a table it never saw."""
     dataset = get_dataset(request.param)
     scorer = ZeroED(fast_config).fit(dataset.make(n_rows=150, seed=7).dirty)
-    return scorer.scorer(), dataset.make(n_rows=90, seed=29).dirty
+    return scorer.scorer(), dataset.make(n_rows=TABLE_ROWS, seed=29).dirty
 
 
 def _patch_blocks(monkeypatch, scorer, block: int) -> None:
@@ -135,3 +147,82 @@ class TestBlockBoundaries:
         got = model.embed_uniques(values)
         assert got.tobytes() == expected.tobytes()
         assert model.embed_uniques([]).shape == (0, 16)
+
+
+def _rows(table: Table) -> list[dict[str, str]]:
+    return [
+        dict(zip(table.attributes, table.row_tuple(i)))
+        for i in range(table.n_rows)
+    ]
+
+
+@pytest.fixture(scope="module", params=["fast", "exact"])
+def engine_case(request, case, fast_config):
+    """``case`` with its scorer fitted for the given detector engine."""
+    if request.param == "fast":
+        return case
+    _, table = case
+    config = dataclasses.replace(fast_config, detector_engine="exact")
+    fitted = ZeroED(config).fit(
+        get_dataset(table.name).make(n_rows=150, seed=7).dirty
+    )
+    return fitted.scorer(), table
+
+
+@pytest.fixture(scope="module")
+def alone(engine_case):
+    """The case table's rows each scored alone, stacked."""
+    scorer, table = engine_case
+    return np.vstack(
+        [scorer.score_rows([row]).mask.matrix for row in _rows(table)]
+    )
+
+
+class TestOneRowScoring:
+    def test_each_row_alone_equals_its_row_of_the_whole_mask(
+        self, engine_case, alone
+    ):
+        scorer, table = engine_case
+        if table.name == "tax":
+            schema = set(table.attributes)
+            assert any(
+                (set(crit.context_attrs) - {attr}) & schema
+                for attr, featurizer in scorer.featurizers.items()
+                for crit in featurizer.criteria
+            ), "the Tax fit has no criterion with a context column"
+        whole = scorer.score_table(table).mask.matrix
+        mismatched = np.nonzero((alone != whole).any(axis=1))[0].tolist()
+        assert not mismatched, f"rows scored alone diverge: {mismatched}"
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=TABLE_ROWS - 1),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_batch_flags_each_row_as_alone(
+        self, engine_case, alone, picks
+    ):
+        scorer, table = engine_case
+        rows = _rows(table)
+        batch = scorer.score_rows([rows[i] for i in picks]).mask.matrix
+        np.testing.assert_array_equal(batch, alone[picks])
+
+    def test_one_row_score_sorts_nothing(self, engine_case, monkeypatch):
+        scorer, table = engine_case
+        rows = _rows(table)
+        for row in rows[:5]:
+            scorer.score_rows([row])
+        calls = []
+        real_unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        for row in rows[5:15]:
+            scorer.score_rows([row])
+        assert not calls, f"{len(calls)} np.unique calls in 10 one-row scores"
