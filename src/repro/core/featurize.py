@@ -37,8 +37,11 @@ An attribute's base features over a table are held as
 :class:`BaseBlocks`: the value-only columns once per distinct value,
 the row-dependent columns (vicinity, criteria) once per row.  A
 :class:`FeatureSpace` caches only blocks, and every consumer — fit-time
-sampling and assembly, ad-hoc augmented examples, score-time unified
-rows — assembles base rows from them.
+sampling and assembly, score-time unified rows — assembles base rows
+from them.  Augmented examples are a table too (the generated values
+in the attribute's column, their source rows' context cells in the
+others), so :meth:`AttributeFeaturizer.base_blocks` is the one way to
+featurize a value.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 
 from repro.config import ZeroEDConfig
 from repro.criteria import Criterion
-from repro.data.encoding import ColumnEncoding, joint_counts
+from repro.data.encoding import joint_counts
 from repro.data.stats import AttributeStats
 from repro.data.table import Table
 from repro.text.embeddings import SubwordHashEmbedding
@@ -107,9 +110,9 @@ class AttributeFeaturizer:
     ``q``, and the compiled criteria.  A fit counts these from its own
     table (:meth:`from_table`); a scorer restores them from an artifact.
     Either way the featurizer treats every table alike: it featurizes
-    whole columns (:meth:`base_blocks`) and ad-hoc values
-    (:meth:`base_rows`, augmented training examples) against the same
-    frozen counts.
+    a table's column (:meth:`base_blocks`) against the same frozen
+    counts, whether the table is the fit's own, a scored one, or
+    Step-3's table of augmented training examples.
     """
 
     def __init__(
@@ -201,53 +204,46 @@ class AttributeFeaturizer:
         always the frozen ones; ``table``'s codes only say which rows
         carry which value.
         """
+        config = self.config
         enc_a = table.encoding(self.attr)
         row_columns: list[np.ndarray] = []
-        if self.config.use_statistical_features:
+        if config.use_statistical_features:
             row_columns += [
                 self._vicinity_column(table, q, enc_a) for q in self.vicinity
             ]
-        if self.config.use_criteria_features:
+        if config.use_criteria_features:
             row_columns += [c.evaluate_column(table) for c in self.criteria]
-        return self._blocks(enc_a, row_columns)
-
-    def base_matrix(self, table: Table) -> np.ndarray:
-        """Base features for every row of ``table``'s ``attr`` column
-        (:meth:`base_blocks`, assembled)."""
-        return self.base_blocks(table).take()
-
-    def _blocks(
-        self, enc: ColumnEncoding, row_columns: list[np.ndarray]
-    ) -> BaseBlocks:
-        """Blocks over ``enc``'s values plus the given per-row columns
-        (vicinity ratios, then criteria verdicts)."""
-        config = self.config
         value_blocks = []
         if config.use_statistical_features:
             value_blocks.append(
                 np.asarray(
-                    [self._frequency_features(u) for u in enc.uniques]
-                ).reshape(enc.n_unique, 4)
+                    [self._frequency_features(u) for u in enc_a.uniques]
+                ).reshape(enc_a.n_unique, 4)
             )
         if config.use_semantic_features and self.embedding is not None:
-            value_blocks.append(self.embedding.embed_uniques(enc.uniques))
+            value_blocks.append(self.embedding.embed_uniques(enc_a.uniques))
         if not (value_blocks or row_columns):
-            row_columns = [np.zeros(enc.n_rows)]
-        per_row = np.empty((enc.n_rows, len(row_columns)))
+            row_columns = [np.zeros(enc_a.n_rows)]
+        per_row = np.empty((enc_a.n_rows, len(row_columns)))
         for k, column in enumerate(row_columns):
             per_row[:, k] = column
         stats = config.use_statistical_features
         return BaseBlocks(
-            codes=enc.codes,
+            codes=enc_a.codes,
             per_value=(
                 np.hstack(value_blocks)
                 if value_blocks
-                else np.empty((enc.n_unique, 0))
+                else np.empty((enc_a.n_unique, 0))
             ),
             per_row=per_row,
             n_freq=4 if stats else 0,
             n_vicinity=len(self.vicinity) if stats else 0,
         )
+
+    def base_matrix(self, table: Table) -> np.ndarray:
+        """Base features for every row of ``table``'s ``attr`` column
+        (:meth:`base_blocks`, assembled)."""
+        return self.base_blocks(table).take()
 
     def _vicinity_column(self, table: Table, q: str, enc_a) -> np.ndarray:
         """P(value | q's value) per row, via distinct (q, attr) pairs:
@@ -270,43 +266,6 @@ class AttributeFeaturizer:
         out = np.zeros(table.n_rows)
         np.divide(numer[inverse], denom, out=out, where=safe)
         return out
-
-    def base_rows(
-        self,
-        values: Sequence[str],
-        rows: Sequence[Mapping[str, str]],
-    ) -> np.ndarray:
-        """Base features for ad-hoc ``(value, row-context)`` pairs.
-
-        Assembled from :class:`BaseBlocks` like a table column: the
-        ad-hoc values are factorized, frequency/pattern and embedding
-        features are computed once per *unique* value; vicinity ratios
-        depend on the row context and stay per-pair (two dict lookups
-        each); criteria evaluate through
-        :meth:`~repro.criteria.Criterion.evaluate_values`, once per
-        distinct (value, context) combo.
-        """
-        if len(values) != len(rows):
-            raise ValueError("values and rows must align")
-        row_columns: list[np.ndarray] = []
-        if self.config.use_statistical_features:
-            for q, (pair_counts, lhs_counts) in self.vicinity.items():
-                ratios = []
-                for value, row in zip(values, rows):
-                    lhs = row.get(q, "")
-                    denom = lhs_counts.get(lhs, 0)
-                    ratios.append(
-                        pair_counts.get((lhs, value), 0) / denom
-                        if denom
-                        else 0.0
-                    )
-                row_columns.append(np.asarray(ratios, dtype=float))
-        if self.config.use_criteria_features:
-            row_columns += [
-                c.evaluate_values(values, rows) for c in self.criteria
-            ]
-        enc = ColumnEncoding.from_values(list(values))
-        return self._blocks(enc, row_columns).take()
 
     def _frequency_features(
         self, value: str
@@ -345,8 +304,9 @@ class FeatureSpace:
     once per distinct value plus a narrow per-row vicinity/criteria
     block — and never an ``n × width`` base matrix.  Unified rows are
     assembled from the blocks on demand: for every row, or only for
-    the rows asked for (the fast engine's unique-key row blocks,
-    Step-3's augmented examples).
+    the rows asked for (the fast engine's unique-key row blocks).
+    :meth:`unified_rows` gives another table's rows (Step-3's augmented
+    examples) the correlated blocks of their source rows.
     """
 
     def __init__(
@@ -432,24 +392,24 @@ class FeatureSpace:
     def unified_rows(
         self,
         attr: str,
-        values: Sequence[str],
-        rows: Sequence[Mapping[str, str]],
+        table: Table,
         row_indices: Sequence[int] | np.ndarray,
     ) -> np.ndarray:
-        """Unified features for ad-hoc values within known row contexts.
+        """Unified features for ``table``'s rows, each standing in for
+        row ``row_indices[i]`` of this space's table.
 
-        Step-3 assembly's augmented examples: ``values[i]`` stands in
-        for ``attr``'s cell of row ``row_indices[i]``.  The attribute's
-        own base block folds per unique value through
-        :meth:`AttributeFeaturizer.base_rows`, and each correlated
-        block is gathered from that row's cached blocks.
+        Step-3 assembly's augmented examples: ``table`` holds the
+        generated values in ``attr``'s column and their source rows'
+        context cells.  The attribute's own base block comes from
+        :meth:`AttributeFeaturizer.base_blocks` of ``table``, and each
+        correlated block is gathered from the source row's cached
+        blocks.
         """
-        base = self.featurizers[attr].base_rows(values, rows)
-        parts = [base]
+        parts = [self.featurizers[attr].base_blocks(table).take()]
         if self.config.use_correlated_features:
             idx = np.asarray(row_indices, dtype=np.intp)
-            if len(idx) != len(base):
-                raise ValueError("row_indices must align with values")
+            if len(idx) != table.n_rows:
+                raise ValueError("row_indices must align with table rows")
             for q in self.correlated.get(attr, []):
                 parts.append(self.blocks(q).take(idx))
         return np.hstack(parts)

@@ -48,6 +48,7 @@ from repro.core.sampling import SamplingResult, sample_representatives
 from repro.core.training_data import (
     AttributeTrainingData,
     assemble_training_data,
+    context_row,
     verify_attribute,
 )
 from repro.data.stats import compute_all_stats
@@ -277,7 +278,7 @@ class ZeroED:
             out = {}
             for attr in table.attributes:
                 examples = [
-                    _context_row(table, i, attr, correlated[attr])
+                    context_row(table, i, attr, correlated[attr])
                     for i in sampling[attr].sampled_indices[:15]
                 ]
                 try:
@@ -534,11 +535,3 @@ class FittedZeroED:
 
         return DetectorArtifact.from_fitted(self).save(path)
 
-
-def _context_row(
-    table: Table, i: int, attr: str, correlated: list[str]
-) -> dict[str, str]:
-    row = {attr: table.cell(i, attr)}
-    for q in correlated:
-        row[q] = table.cell(i, q)
-    return row

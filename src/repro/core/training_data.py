@@ -139,9 +139,12 @@ def propagate_labels(
     return out
 
 
-def _context_row(
+def context_row(
     table: Table, i: int, attr: str, correlated: list[str]
 ) -> dict[str, str]:
+    """Row ``i``'s ``attr`` cell and its correlated cells, the context
+    an LLM prompt shows for one example (guidelines, contrastive
+    refinement)."""
     row = {attr: table.cell(i, attr)}
     for q in correlated:
         row[q] = table.cell(i, q)
@@ -233,7 +236,7 @@ def verify_attribute(
     if not (config.use_verification and propagated):
         return outcome
     error_rows = [
-        _context_row(table, i, attr, correlated)
+        context_row(table, i, attr, correlated)
         for i, lab in sorted(llm_labels.items())
         if lab == 1
     ]
@@ -248,7 +251,7 @@ def verify_attribute(
         picked = rng.choice(len(clean_sample), size=400, replace=False)
         clean_sample = [clean_sample[int(k)] for k in sorted(picked)]
     clean_rows = [
-        _context_row(table, i, attr, correlated) for i in clean_sample
+        context_row(table, i, attr, correlated) for i in clean_sample
     ]
     if error_rows and clean_rows:
         try:
@@ -264,9 +267,8 @@ def verify_attribute(
         candidates = []
     # Verify criteria against propagated right labels (lines 8-14):
     # each criterion evaluates once per distinct (value, context)
-    # combo over the right-labeled rows and its accuracy is the mean
-    # of the scattered verdicts — no per-row dicts, no defensive
-    # copies.
+    # combo over the right-labeled rows — on the same cells scoring
+    # reads — and its accuracy is the mean of the scattered verdicts.
     right_idx = [i for i, lab in propagated.items() if lab == 0]
     # The evolving criteria set = contrastive refinements plus the
     # surviving initial criteria (deduplicated by name, refinements
@@ -282,7 +284,7 @@ def verify_attribute(
     refined: list[Criterion] = []
     trusted_verdicts: list[np.ndarray] = []
     for crit in merged.values():
-        verdicts = crit.evaluate_rows(table, right_idx, context=correlated)
+        verdicts = crit.evaluate_column(table, right_idx)
         accuracy = float(verdicts.mean()) if right_idx else 0.0
         if accuracy >= config.criteria_accuracy_threshold:
             refined.append(crit)
@@ -395,23 +397,28 @@ def assemble_training_data(
             # erroneous — fail at least one criterion or be rare in
             # the column.  A frequent value passing every check is a
             # failed augmentation (the LLM returned clean data).  The
-            # checks and the featurization both run batched — criteria
-            # evaluate once per distinct (value, context) combo and
-            # features fold per unique value — bit-identical to the
-            # retained per-value loop (tests/_reference_assembly.py).
+            # candidates form one table — each value in ``attr``'s
+            # column, its source row's cells in the columns the
+            # features and checks read — so the checks and the
+            # featurization are the scoring paths: criteria evaluate
+            # once per distinct (value, context) combo and features
+            # fold per unique value, bit-identical to the retained
+            # per-value loop (tests/_reference_assembly.py).
             cand_values: list[str] = []
-            cand_rows: list[dict[str, str]] = []
             cand_srcs: list[int] = []
-            corr_cols = [(q, table.column_view(q)) for q in correlated]
             for value, src in zip(generated, source_rows):
-                if value == col[src]:
-                    continue
-                row = {attr: value}
-                for q, q_col in corr_cols:
-                    row[q] = q_col[src]
-                cand_values.append(value)
-                cand_rows.append(row)
-                cand_srcs.append(src)
+                if value != col[src]:
+                    cand_values.append(value)
+                    cand_srcs.append(src)
+            read = list(correlated)
+            for c in [*check_criteria, *featurizer.criteria]:
+                read += c.context_attrs
+            columns = {attr: cand_values}
+            for q in dict.fromkeys(read):
+                if q not in columns and q in table.attributes:
+                    q_col = table.column_view(q)
+                    columns[q] = [q_col[src] for src in cand_srcs]
+            cands = Table(list(columns), columns, name=table.name)
             n_cand = len(cand_values)
             keep = np.zeros(n_cand, dtype=bool)
             if check_criteria and n_cand:
@@ -421,10 +428,7 @@ def assemble_training_data(
                 # same (criterion, combo) pairs as the per-value loop.
                 pending = np.arange(n_cand)
                 for c in check_criteria:
-                    passed = c.evaluate_values(
-                        [cand_values[p] for p in pending.tolist()],
-                        [cand_rows[p] for p in pending.tolist()],
-                    )
+                    passed = c.evaluate_column(cands, pending)
                     keep[pending[~passed]] = True
                     pending = pending[passed]
                     if pending.size == 0:
@@ -437,8 +441,7 @@ def assemble_training_data(
             if kept:
                 aug_features = feature_space.unified_rows(
                     attr,
-                    [cand_values[k] for k in kept],
-                    [cand_rows[k] for k in kept],
+                    cands.select_rows(kept),
                     [cand_srcs[k] for k in kept],
                 )
                 labels.append(np.ones(len(kept)))

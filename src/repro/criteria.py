@@ -7,6 +7,10 @@ module turns them into safe callables and evaluates them over tables:
   access to the caller's globals);
 * a criterion that raises counts as "not clean" for that key (its
   verdict is cached like any other);
+* :meth:`Criterion.evaluate_column` is the one fold over a table:
+  every caller — scoring, verification on right-labeled rows, the
+  augmentation filter — hands it a table, and a criterion's context is
+  its ``context_attrs`` present in that table;
 * per-value caching exploits ``context_attrs`` metadata: a criterion
   that reads only ``row[attr]`` is evaluated once per distinct value,
   which keeps the 200k-row Tax workload tractable.
@@ -107,22 +111,30 @@ class Criterion:
         """Evaluate on one row; runtime errors count as 'not clean'."""
         return self._check_consumable(dict(row), self._row_key(row))
 
-    def evaluate_column(self, table: Table) -> np.ndarray:
-        """Boolean pass-vector for this criterion over every row.
+    def evaluate_column(
+        self,
+        table: Table,
+        rows: Sequence[int] | np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Boolean pass-vector over ``rows`` (every row when ``None``),
+        aligned with them.
 
-        The criterion is a pure function of ``row[attr]`` and the
-        ``context_attrs`` cells, so it runs once per distinct
-        value-combination (found via the table's interned column codes)
-        and the verdicts are scattered back to rows with one gather.
-        With no context column in the table the value alone decides:
-        the criterion runs once per ``enc.uniques`` and the verdicts
-        gather by ``enc.codes``, at any table size.
+        The criterion's context is its ``context_attrs`` present in
+        ``table``: each row dict carries ``attr`` plus those cells, so
+        scoring, verification and the augmentation filter all evaluate
+        a criterion on the same cells.  The criterion is a pure function
+        of them, so it runs once per distinct value-combination (found
+        via the table's interned column codes), on the combo's first
+        row, and the verdicts are scattered back with one gather.  Over
+        every row with no context column in the table the value alone
+        decides: the criterion runs once per ``enc.uniques`` and the
+        verdicts gather by ``enc.codes``, at any table size.
         """
         enc = table.encoding(self.attr)
         context_names = [a for a in self.context_attrs if a in table.attributes]
         # Each row dict built here is fresh and discarded, so it can go
         # to the compiled function without `check`'s defensive copy.
-        if not context_names:
+        if rows is None and not context_names:
             # The codes already are the fold: ids follow first
             # appearance, the order a sorted fold visits first rows in.
             verdicts = np.empty(enc.n_unique, dtype=bool)
@@ -130,60 +142,24 @@ class Criterion:
                 row = {self.attr: value}
                 verdicts[j] = self._check_consumable(row, self._row_key(row))
             return verdicts[enc.codes]
+        idx = None if rows is None else np.asarray(rows, dtype=np.int64)
         value_col = table.column_view(self.attr)
         context_cols = [table.column_view(a) for a in context_names]
         # One int64 key per row for the (value, context...) combo; a
         # 1-D fold is much cheaper than an axis=0 lexsort (fold_codes
         # falls back to one only when the combined cardinality
         # overflows int64).
-        key = fold_codes([enc] + [table.encoding(a) for a in context_names])
-        _, first_rows, inverse, _ = unique_keys(key)
-        verdicts = np.empty(len(first_rows), dtype=bool)
-        for j, i in enumerate(first_rows.tolist()):
-            row = {self.attr: value_col[i]}
-            for name, col in zip(context_names, context_cols):
-                row[name] = col[i]
-            verdicts[j] = self._check_consumable(row, self._row_key(row))
-        return verdicts[inverse]
-
-    def evaluate_rows(
-        self,
-        table: Table,
-        row_indices: Sequence[int] | np.ndarray,
-        context: Sequence[str] = (),
-    ) -> np.ndarray:
-        """Boolean pass-vector over ``row_indices`` (aligned with them).
-
-        The vectorized form of calling :meth:`check` on
-        ``{attr: cell, q: cell for q in context}`` dicts row by row:
-        the unique-combo fold of :meth:`evaluate_column` restricted to
-        the given rows.  The cache key only involves ``attr`` and the
-        ``context_attrs`` present among ``context``, so the criterion
-        runs once per distinct key — on the key's *first* row in
-        ``row_indices`` order, with the full context dict, exactly the
-        row the per-row loop's first cache miss would have evaluated —
-        and shares its verdict cache with every other entry point.
-        """
-        idx = np.asarray(row_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=bool)
-        value_col = table.column_view(self.attr)
-        context_names = [q for q in context if q != self.attr]
-        context_cols = {a: table.column_view(a) for a in context_names}
-        # Only columns that feed `_row_key` partition the rows; context
-        # attrs absent from the row dicts contribute a constant "".
-        key_names = [a for a in self.context_attrs if a in context_cols]
         key = fold_codes(
-            [table.encoding(self.attr)]
-            + [table.encoding(a) for a in key_names],
+            [enc] + [table.encoding(a) for a in context_names],
             row_indices=idx,
         )
         _, first_pos, inverse, _ = unique_keys(key)
+        if idx is not None:
+            first_pos = idx[first_pos]
         verdicts = np.empty(len(first_pos), dtype=bool)
-        for j, p in enumerate(first_pos.tolist()):
-            i = int(idx[p])
+        for j, i in enumerate(first_pos.tolist()):
             row = {self.attr: value_col[i]}
-            for name, col in context_cols.items():
+            for name, col in zip(context_names, context_cols):
                 row[name] = col[i]
             verdicts[j] = self._check_consumable(row, self._row_key(row))
         return verdicts[inverse]
@@ -193,63 +169,15 @@ class Criterion:
         values: Sequence[str],
         rows: Sequence[Mapping[str, str]],
     ) -> np.ndarray:
-        """Boolean pass-vector for ad-hoc ``(value, row-context)`` pairs.
-
-        The batch form of calling :meth:`check` on ``{**row, attr:
-        value}`` pair by pair — the :meth:`evaluate_column` unique-combo
-        fold applied to *ad-hoc* values (augmented training examples),
-        where no interned codes exist so the fold groups on the string
-        key itself.  The criterion runs once per distinct ``(value,
-        context...)`` key — on the key's first pair in input order, the
-        pair the per-value loop's first cache miss would have evaluated
-        — and shares its verdict cache with every other entry point, so
-        the scattered verdicts are bit-identical to the per-value loop.
-        """
+        """Boolean pass-vector for ad-hoc ``(value, row-context)`` pairs:
+        :meth:`evaluate_column` over a table of ``values`` and the
+        rows' context cells (a missing cell reads as empty)."""
         if len(values) != len(rows):
             raise CriteriaError("values and rows must align")
-        # Keys are built inline from (value, context cells) — the same
-        # tuple ``_row_key`` would produce for ``{**row, attr: value}``
-        # — so the per-pair cost is one tuple, not a dict copy; the
-        # full context dict is only materialised for each key's first
-        # pair (the one actually evaluated).  The no-context and
-        # single-context shapes cover nearly every LLM-emitted
-        # criterion, so they skip the inner generator.
-        attr = self.attr
-        ctx = self.context_attrs
-        if not ctx:
-            keys = [(value,) for value in values]
-        elif len(ctx) == 1 and ctx[0] != attr:
-            a0 = ctx[0]
-            keys = [
-                (value, row.get(a0, ""))
-                for value, row in zip(values, rows)
-            ]
-        else:
-            keys = [
-                (value,)
-                + tuple(
-                    value if a == attr else row.get(a, "") for a in ctx
-                )
-                for value, row in zip(values, rows)
-            ]
-        inverse = np.empty(len(values), dtype=np.intp)
-        slots: dict[tuple, int] = {}
-        firsts: list[int] = []
-        for pos, key in enumerate(keys):
-            slot = slots.get(key)
-            if slot is None:
-                slot = len(firsts)
-                slots[key] = slot
-                firsts.append(pos)
-            inverse[pos] = slot
-        verdicts = np.empty(len(firsts), dtype=bool)
-        for j, pos in enumerate(firsts):
-            # Fresh dicts built here, so no defensive copy is needed
-            # before handing them to the compiled function.
-            context = dict(rows[pos])
-            context[attr] = values[pos]
-            verdicts[j] = self._check_consumable(context, keys[pos])
-        return verdicts[inverse]
+        names = list(dict.fromkeys([self.attr, *self.context_attrs]))
+        columns = {a: [row.get(a, "") for row in rows] for a in names}
+        columns[self.attr] = list(values)
+        return self.evaluate_column(Table(names, columns))
 
     def accuracy_on(self, rows: Sequence[Mapping[str, str]]) -> float:
         """Fraction of ``rows`` this criterion accepts (pass rate)."""

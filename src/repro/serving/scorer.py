@@ -246,23 +246,6 @@ class BatchScorer:
         )
 
     # ------------------------------------------------------------------
-    def score_chunks(self, chunks, *, chunk_rows=None, n_jobs=None, journal=None):
-        """Stream-score an iterable of table chunks, bounded memory.
-
-        Delegates to :func:`repro.serving.streaming.score_chunks`; the
-        assembled mask is byte-identical to :meth:`score_table` on the
-        concatenated table for every ``(chunk_rows, n_jobs)``.
-        """
-        from repro.serving import streaming
-
-        return streaming.score_chunks(
-            self,
-            chunks,
-            chunk_rows=chunk_rows,
-            n_jobs=self.config.n_jobs if n_jobs is None else n_jobs,
-            journal=journal,
-        )
-
     def score_csv(
         self,
         path,

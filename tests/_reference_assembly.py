@@ -1,14 +1,20 @@
 """Retained per-value reference for Step-3 assembly (pre-PR 4).
 
 Verbatim copy of the augmentation filter + featurisation loop that
-``assemble_training_data`` ran before the batched
-``Criterion.evaluate_values`` / ``FeatureSpace.unified_rows`` rewrite,
-so the batch path can be pinned against the historical per-value
-behaviour: identical kept candidates (same order) and bitwise-identical
-feature vectors.  The per-value featurizers themselves —
-``reference_base_vector`` / ``reference_unified_vector``, formerly
-``AttributeFeaturizer.base_vector`` / ``FeatureSpace.unified_vector`` —
-live here too, since only tests call them.
+``assemble_training_data`` ran before it was batched.  Today the
+candidates form one table, filtered through
+``Criterion.evaluate_column`` and featurized by
+``FeatureSpace.unified_rows`` (``base_blocks`` of that table), and the
+batch path is pinned against the historical per-value behaviour:
+identical kept candidates (same order) and bitwise-identical feature
+vectors.  The loop builds each candidate's row context from the
+correlated attributes, which is every context the simulated LLM's
+criteria read; a criterion reading another attribute is evaluated on
+that attribute's cell by the batch path, as scoring does.  The
+per-value featurizers themselves — ``reference_base_vector`` /
+``reference_unified_vector``, formerly
+``AttributeFeaturizer.base_vector`` / ``FeatureSpace.unified_vector``
+— live here too, since only tests call them.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 
 def reference_base_vector(featurizer, value, row):
     """Base features for an ad-hoc value in a row context, one
-    concatenate per value (the batch form is ``base_rows``)."""
+    concatenate per value (the batch form is ``base_blocks`` of a
+    table of such values)."""
     config = featurizer.config
     blocks = []
     if config.use_statistical_features:

@@ -7,9 +7,10 @@ Three properties are pinned here:
   functions of ``(seed, attr)`` and results are collected in attribute
   order), across datasets and across both concrete engines.
 * **Batch/per-value equivalence** — ``Criterion.evaluate_values`` and
-  ``FeatureSpace.unified_rows`` are bit-identical to the retained
-  per-value reference loops (``tests/_reference_assembly.py``), and the
-  batched ``assemble_training_data`` keeps exactly the candidates the
+  ``FeatureSpace.unified_rows`` over a table of augmented values are
+  bit-identical to the retained per-value reference loops
+  (``tests/_reference_assembly.py``), and the batched
+  ``assemble_training_data`` keeps exactly the candidates the
   per-value filter kept.
 * **engine="auto"** — resolves to ``exact`` below the ~2k-row
   crossover and ``fast`` at/above it, through config, detector, and
@@ -41,6 +42,7 @@ from repro.core.training_data import (
 )
 from repro.criteria import Criterion
 from repro.data.stats import compute_all_stats
+from repro.data.table import Table
 from repro.errors import ConfigError
 from repro.parallel import effective_jobs, parallel_attr_map, parallel_map
 
@@ -262,7 +264,10 @@ class TestBatchEquivalence:
                 row[q] = table.cell(i, q)
             values.append(value)
             rows.append(row)
-        batch = fs.unified_rows(attr, values, rows, indices.tolist())
+        cands = Table.from_rows(
+            list(rows[0]), [tuple(r.values()) for r in rows]
+        )
+        batch = fs.unified_rows(attr, cands, indices.tolist())
         ref = reference_unified_vectors(fs, attr, values, rows, indices)
         assert batch.shape == ref.shape
         assert batch.dtype == ref.dtype == np.float64
@@ -285,7 +290,7 @@ class TestBatchEquivalence:
         fs = FeatureSpace.from_table(
             table, stats, {a: [] for a in table.attributes}, {}, config
         )
-        out = fs.unified_rows(attr, ["a", "b"], [{attr: "a"}, {attr: "b"}], [0, 1])
+        out = fs.unified_rows(attr, Table([attr], {attr: ["a", "b"]}), [0, 1])
         ref = reference_unified_vectors(
             fs, attr, ["a", "b"], [{attr: "a"}, {attr: "b"}], [0, 1]
         )

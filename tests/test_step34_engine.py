@@ -3,9 +3,10 @@
 Locks down three rewrites against retained per-row reference
 implementations (``tests/_reference_step34.py``):
 
-* ``fold_codes`` / ``Criterion.evaluate_rows`` — the unique-combo fold
-  restricted to given rows must match per-row ``check`` calls (shared
-  verdict cache, any row order, context attrs missing from the fold);
+* ``fold_codes`` / ``Criterion.evaluate_column`` over given rows — the
+  unique-combo fold restricted to those rows must match per-row
+  ``check`` calls and the whole-column verdicts at those rows (shared
+  verdict cache, any row order);
 * ``propagate_labels`` — the argsort group-by must reproduce the
   per-cluster ``nonzero`` scan exactly, including dict insertion order
   (downstream sampling draws depend on it), for list and folded-code
@@ -33,7 +34,12 @@ from repro.core.detector import ErrorDetector
 from repro.core.featurize import FeatureSpace
 from repro.core.pipeline import ZeroED
 from repro.core.sampling import SamplingResult, sample_representatives
-from repro.core.training_data import propagate_labels, verify_attribute
+from repro.core.training_data import (
+    VerificationOutcome,
+    assemble_training_data,
+    propagate_labels,
+    verify_attribute,
+)
 from repro.criteria import Criterion, compile_criteria
 from repro.data.encoding import ColumnEncoding, fold_codes
 from repro.data.registry import make_dataset
@@ -104,7 +110,7 @@ class TestFoldCodes:
 
 
 # ----------------------------------------------------------------------
-# Criterion.evaluate_rows
+# Criterion.evaluate_column over given rows
 # ----------------------------------------------------------------------
 def _criteria_setup(dataset="hospital", n_rows=70, seed=0):
     config = ZeroEDConfig(criteria_sample_size=15, seed=seed)
@@ -123,7 +129,7 @@ class TestEvaluateRows:
             context = correlated[attr]
             idx = rng.permutation(table.n_rows)[:40].tolist()
             for crit in crits:
-                fast = crit.evaluate_rows(table, idx, context=context)
+                fast = crit.evaluate_column(table, idx)
                 slow = np.array(
                     [
                         crit.check(
@@ -140,9 +146,9 @@ class TestEvaluateRows:
         attr = next(a for a, cs in criteria.items() if cs)
         crit = criteria[attr][0]
         idx = list(range(table.n_rows))
-        first = crit.evaluate_rows(table, idx, context=correlated[attr])
+        first = crit.evaluate_column(table, idx)
         cached = len(crit._cache)
-        again = crit.evaluate_rows(table, idx, context=correlated[attr])
+        again = crit.evaluate_column(table, idx)
         np.testing.assert_array_equal(first, again)
         assert len(crit._cache) == cached  # no new evaluations
 
@@ -156,12 +162,12 @@ class TestEvaluateRows:
             },
         )
         t = Table(["x"], {"x": ["a", "", "b"]})
-        assert crit.evaluate_rows(t, []).shape == (0,)
+        assert crit.evaluate_column(t, []).shape == (0,)
 
-    def test_context_attr_outside_context_list(self):
-        # A criterion whose context_attrs are not passed as row context
-        # must key on the value alone (the row dicts never carried the
-        # context cell), matching per-row check on the same dicts.
+    def test_rows_equal_whole_column_at_those_rows(self):
+        # Restricting the fold to some rows (in any order, with
+        # repeats) changes which rows are evaluated, never a verdict:
+        # a context attr is read from the table either way.
         crit = Criterion.from_spec(
             "x",
             {
@@ -173,11 +179,22 @@ class TestEvaluateRows:
         )
         t = Table(
             ["x", "y"],
-            {"x": ["a", "a", "b"], "y": ["bad", "ok", "bad"]},
+            {"x": ["a", "a", "b", "b"], "y": ["bad", "ok", "bad", "ok"]},
         )
-        fast = crit.evaluate_rows(t, [0, 1, 2], context=[])
-        slow = np.array([crit.check({"x": t.cell(i, "x")}) for i in (0, 1, 2)])
-        np.testing.assert_array_equal(fast, slow)
+        whole = crit.evaluate_column(t)
+        assert whole.tolist() == [False, True, False, True]
+        for rows in ([0, 1, 2, 3], [2, 0, 3], [1, 1, 0], [3]):
+            np.testing.assert_array_equal(
+                crit.evaluate_column(t, rows), whole[rows]
+            )
+        table, _, criteria = _criteria_setup()
+        idx = np.random.default_rng(2).permutation(table.n_rows)[:30]
+        for crits in criteria.values():
+            for crit in crits:
+                np.testing.assert_array_equal(
+                    crit.evaluate_column(table, idx),
+                    crit.evaluate_column(table)[idx],
+                )
 
 
 # ----------------------------------------------------------------------
@@ -441,6 +458,83 @@ def test_verify_attribute_matches_seed_loop_on_generator_slice():
             )
         results.append(per_attr)
     assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# A criterion's context is the table's cells, not the correlated list
+# ----------------------------------------------------------------------
+class TestContextOutsideCorrelated:
+    """A criterion may read an attribute that is not one of ``attr``'s
+    correlated attributes (``parse_criteria`` infers context from any
+    ``row[...]``).  Scoring evaluates it on the real cell, so
+    verification and augmentation must too."""
+
+    def case(self, spec):
+        config = ZeroEDConfig(embedding_dim=4, mlp_epochs=5)
+        ys = ["Alpha", "Beta", "Gamma", "Delta"]
+        table = Table.from_rows(
+            ["x", "y", "z"],
+            [
+                [ys[i % 4].lower(), ys[i % 4], f"z{i % 3}"]
+                for i in range(40)
+            ],
+            name="ctx",
+        )
+        correlated = {"x": ["z"]}
+        crit = Criterion.from_spec("x", spec)
+        space = FeatureSpace.from_table(
+            table, compute_all_stats(table), correlated, {"x": [crit]},
+            config,
+        )
+        return config, table, space, crit
+
+    def test_verification_reads_the_context_cell(self):
+        config, table, space, crit = self.case(
+            {
+                "name": "matches_y",
+                "source": "def matches_y(row, attr):\n"
+                "    return row[attr] == row['y'].lower()\n",
+                "context_attrs": ["y"],
+            }
+        )
+        assert crit.evaluate_column(table).all()  # what scoring sees
+        sampling = SamplingResult(
+            cluster_labels=np.zeros(table.n_rows, dtype=np.int64),
+            sampled_indices=[0],
+            representative_of={0: 0},
+        )
+        outcome = verify_attribute(
+            SimulatedLLM(seed=0), table, "x", space, sampling, {0: 0},
+            ["z"], config,
+        )
+        assert outcome.n_propagated == table.n_rows
+        assert outcome.n_criteria_dropped == 0
+        assert [c.name for c in outcome.refined_criteria] == ["matches_y"]
+        assert outcome.criteria_accuracies == {"matches_y": 1.0}
+
+    def test_augmented_rows_read_the_context_cell(self):
+        config, table, space, crit = self.case(
+            {
+                "name": "has_y",
+                "source": "def has_y(row, attr):\n"
+                "    return row['y'] != ''\n",
+                "context_attrs": ["y"],
+            }
+        )
+        outcome = VerificationOutcome(
+            attr="x",
+            propagated={i: 0 for i in range(table.n_rows)},
+            refined_criteria=[crit],
+            n_propagated=table.n_rows,
+        )
+        data = assemble_training_data(
+            SimulatedLLM(seed=0), table, "x", space, outcome, ["z"], config
+        )
+        assert data.n_augmented > 0
+        # The criterion is the last column of x's base block: every
+        # source row has a non-empty y, on real and augmented rows.
+        verdicts = data.features[:, space.featurizers["x"].base_dim - 1]
+        assert (verdicts == 1.0).all()
 
 
 # ----------------------------------------------------------------------
