@@ -67,9 +67,10 @@ def _add_engine_flags(
         parser.add_argument(
             "--detector-engine", default="exact",
             choices=DETECTOR_ENGINE_CHOICES,
-            help="Step-4 MLP engine: 'exact' (float64, reproducible "
-                 "reference masks), 'fast' (float32 train/predict over "
-                 "unique feature rows, masks may shift within the "
+            help="Step-4 MLP engine; both predict once per unique "
+                 "feature row: 'exact' (float64, trains on every row, "
+                 "reproducible reference masks), 'fast' (float32, trains "
+                 "on collapsed duplicate rows, masks may shift within the "
                  "recorded tolerance band), or 'auto' (fast at >=2k "
                  "rows, exact below)")
     parser.add_argument(

@@ -128,13 +128,14 @@ class ZeroEDConfig:
     decision_threshold: float = 0.5
 
     detector_engine: str = "exact"
-    """Step-4 MLP engine.  'exact' (default) trains and predicts in
-    float64 with the historical operation order — masks stay
-    byte-identical run-over-run and release-over-release; 'fast' runs
-    the same loop in float32 over multiplicity-weighted unique training
-    rows (capped at a seeded subsample) and predicts once per unique
-    feature row — deterministic under the seed, but probabilities
-    (hence masks) may shift within the tolerance band recorded in
+    """Step-4 MLP engine.  Both engines predict once per unique feature
+    row; they differ in dtype and in how they train.  'exact' (default)
+    trains and predicts in float64 with the historical operation order,
+    on every training row — masks stay byte-identical run-over-run and
+    release-over-release; 'fast' runs the same loop in float32 over
+    multiplicity-weighted unique training rows (capped at a seeded
+    subsample) — deterministic under the seed, but probabilities (hence
+    masks) may shift within the tolerance band recorded in
     tests/test_step34_engine.py; 'auto' resolves per table at detect
     time — 'fast' at >= AUTO_ENGINE_MIN_ROWS rows, 'exact' below."""
 

@@ -6,20 +6,22 @@ training data is degenerate (empty, or single-class) fall back to a
 constant prediction of that class — the honest behaviour when the LLM
 labeled everything identically.
 
-The MLP execution engine follows ``config.detector_engine``:
+Prediction is one path for every engine: each attribute builds,
+scales and predicts one unified row per unique key of the columns its
+features read, ``PREDICT_BLOCK_ROWS`` rows at a time, and scatters the
+probabilities back through the inverse, so its memory follows the
+distinct keys and one block, not the row count.
 
-* ``exact`` (default) — float64, bitwise identical to the historical
-  implementation (one full-matrix forward pass per attribute, now
-  through workspace buffers shared across attributes);
-* ``fast`` (opt-in) — float32 train/predict over *unique* rows (the
-  PR 1/2 interning idea): training collapses duplicate
-  (features, label) rows to multiplicity-weighted uniques — the same
-  weighted cross-entropy objective on a fraction of the rows — caps
-  them at a seeded class-preserving subsample
-  (``FAST_MAX_TRAIN_ROWS``, the MiniBatchKMeans subsample idea), and
-  prediction builds, scales and predicts one feature row per unique
-  key, ``FAST_PREDICT_BLOCK_ROWS`` rows at a time, and scatters the
-  probabilities back through the codes;
+The engine (``config.detector_engine``) picks the MLP's dtype and how
+Step 4 trains:
+
+* ``exact`` (default) — float64 in the historical operation order,
+  trained on every training row;
+* ``fast`` (opt-in) — float32, trained over *unique* rows: duplicate
+  (features, label) rows collapse to multiplicity-weighted uniques —
+  the same weighted cross-entropy objective on a fraction of the rows
+  — capped at a seeded class-preserving subsample
+  (``FAST_MAX_TRAIN_ROWS``, the MiniBatchKMeans subsample idea);
 * ``auto`` — resolved against the table's row count at fit time
   (``ZeroEDConfig.resolve_detector_engine``).
 
@@ -55,10 +57,10 @@ from repro.parallel import effective_jobs, parallel_map
 #: always trains on every row.
 FAST_MAX_TRAIN_ROWS = 8_192
 
-#: Fast-engine prediction block: unique-key rows are gathered, scaled
-#: and predicted this many at a time, so prediction memory is bounded
-#: by the block rather than the table.
-FAST_PREDICT_BLOCK_ROWS = 4_096
+#: Prediction block: unique-key rows are gathered, scaled and predicted
+#: this many at a time, so prediction memory is bounded by the block
+#: rather than the table.
+PREDICT_BLOCK_ROWS = 4_096
 
 
 @dataclass
@@ -274,28 +276,27 @@ class ErrorDetector:
     def predict(self, table: Table, feature_space: FeatureSpace) -> ErrorMask:
         """Classify every cell of ``table`` as clean (False) or dirty.
 
+        Each attribute predicts one feature row per unique key, in
+        blocks of ``PREDICT_BLOCK_ROWS`` (see the module docstring).
         Serially, one workspace serves every attribute's forward pass:
-        its activation buffers are keyed by shape, so attributes that
-        predict equally many rows reuse them — every attribute on the
-        exact engine (each predicts all ``n_rows`` rows), and the full
-        row blocks on the fast engine (where each attribute predicts
-        its own number of unique keys).  With ``config.n_jobs > 1`` the
-        per-attribute passes fan across the worker pool instead (each
-        with its own workspace — buffer reuse only affects allocation,
-        never values) after the feature space's shared caches are
-        warmed serially; every attribute writes a disjoint mask column,
-        so the mask is byte-identical either way.
+        its activation buffers are keyed by shape, so full blocks — and
+        attributes predicting equally many unique keys — reuse them.
+        With ``config.n_jobs > 1`` the per-attribute passes fan across
+        the worker pool instead (each with its own workspace — buffer
+        reuse only affects allocation, never values) after the feature
+        space's shared caches are warmed serially; every attribute
+        writes a disjoint mask column, so the mask is byte-identical
+        either way.
         """
         if not self._models:
             raise NotFittedError("ErrorDetector.predict called before fit")
         mask = ErrorMask.zeros(table.attributes, table.n_rows)
-        fast = self._engine == "fast"
         attrs = table.attributes
         if effective_jobs(self.config.n_jobs, len(attrs)) > 1:
             feature_space.warm()
             parallel_map(
                 lambda attr: self._predict_attribute(
-                    attr, table, feature_space, mask, Workspace(), fast
+                    attr, table, feature_space, mask, Workspace()
                 ),
                 attrs,
                 self.config.n_jobs,
@@ -304,7 +305,7 @@ class ErrorDetector:
             workspace = Workspace()
             for attr in attrs:
                 self._predict_attribute(
-                    attr, table, feature_space, mask, workspace, fast
+                    attr, table, feature_space, mask, workspace
                 )
         return mask
 
@@ -315,7 +316,6 @@ class ErrorDetector:
         feature_space: FeatureSpace,
         mask: ErrorMask,
         workspace: Workspace,
-        fast: bool,
     ) -> None:
         model = self._models.get(attr)
         if model is None:
@@ -324,37 +324,28 @@ class ErrorDetector:
             if model.constant:
                 mask.matrix[:, table.attr_index(attr)] = True
             return
-        if fast:
-            # Equal feature rows get equal probabilities: predict once
-            # per unique row, scatter back.  A unified row is a pure
-            # function of its interned column codes, so the dedup key
-            # is one folded int64 array (O(n)), found before any
-            # feature row exists; only the unique-key rows are then
-            # built, scaled and predicted, a fixed block at a time.
-            key = fold_codes(
-                [
-                    table.encoding(a)
-                    for a in _unified_key_columns(
-                        feature_space, table, attr
-                    )
-                ]
-            )
-            _, first_rows, inverse, _ = unique_keys(key)
-            proba = np.empty(len(first_rows))
-            for start in range(0, len(first_rows), FAST_PREDICT_BLOCK_ROWS):
-                rows = first_rows[start : start + FAST_PREDICT_BLOCK_ROWS]
-                proba[start : start + len(rows)] = model.mlp.predict_proba(
-                    model.scaler.transform(
-                        feature_space.unified_matrix(attr, rows)
-                    ),
-                    workspace=workspace,
-                )
-            proba = proba[inverse]
-        else:
-            proba = model.mlp.predict_proba(
-                model.scaler.transform(feature_space.unified_matrix(attr)),
+        # Equal feature rows get equal probabilities: predict once per
+        # unique row, scatter back.  A unified row is a pure function
+        # of its interned column codes, so the dedup key is one folded
+        # int64 array (O(n)), found before any feature row exists; only
+        # the unique-key rows are then built, scaled and predicted, a
+        # fixed block at a time.
+        key = fold_codes(
+            [
+                table.encoding(a)
+                for a in _unified_key_columns(feature_space, table, attr)
+            ]
+        )
+        _, first_rows, inverse, _ = unique_keys(key)
+        proba = np.empty(len(first_rows))
+        for start in range(0, len(first_rows), PREDICT_BLOCK_ROWS):
+            rows = first_rows[start : start + PREDICT_BLOCK_ROWS]
+            proba[start : start + len(rows)] = model.mlp.predict_proba(
+                model.scaler.transform(
+                    feature_space.unified_matrix(attr, rows)
+                ),
                 workspace=workspace,
             )
         mask.matrix[:, table.attr_index(attr)] = (
-            proba >= self.config.decision_threshold
+            proba[inverse] >= self.config.decision_threshold
         )

@@ -303,8 +303,9 @@ class FeatureSpace:
     Caches each attribute's :class:`BaseBlocks` — value-only features
     once per distinct value plus a narrow per-row vicinity/criteria
     block — and never an ``n × width`` base matrix.  Unified rows are
-    assembled from the blocks on demand: for every row, or only for
-    the rows asked for (the fast engine's unique-key row blocks).
+    assembled from the blocks on demand, only for the rows asked for —
+    the detector's unique-key row blocks, Step-3's labelled rows — or
+    for every row, which only Step-2 clustering asks for.
     :meth:`unified_rows` gives another table's rows (Step-3's augmented
     examples) the correlated blocks of their source rows.
     """

@@ -332,17 +332,14 @@ def assemble_training_data(
     """
     propagated = outcome.propagated
     col = table.column_view(attr)
-    unified = feature_space.unified_matrix(attr)
     row_indices = sorted(propagated)
-    # The propagated block is gathered straight into the output matrix
-    # once the augmented row count is known (below) — one copy instead
-    # of the historical gather-then-vstack two.
-    labels = (
-        [np.array([propagated[i] for i in row_indices], dtype=float)]
-        if row_indices
-        else []
-    )
-    aug_features: np.ndarray | None = None
+    # Only the labelled rows' unified features are built.
+    features = [
+        feature_space.unified_matrix(
+            attr, np.asarray(row_indices, dtype=np.intp)
+        )
+    ]
+    labels = [np.array([propagated[i] for i in row_indices], dtype=float)]
     n_augmented = 0
     if config.use_verification and row_indices:
         n_err = int(sum(propagated[i] for i in row_indices))
@@ -439,35 +436,20 @@ def assemble_training_data(
                     keep[pos] = True
             kept = np.nonzero(keep)[0].tolist()
             if kept:
-                aug_features = feature_space.unified_rows(
-                    attr,
-                    cands.select_rows(kept),
-                    [cand_srcs[k] for k in kept],
+                features.append(
+                    feature_space.unified_rows(
+                        attr,
+                        cands.select_rows(kept),
+                        [cand_srcs[k] for k in kept],
+                    )
                 )
                 labels.append(np.ones(len(kept)))
                 n_augmented = len(kept)
 
-    if row_indices:  # augmentation only ever runs with labeled rows
-        n_prop = len(row_indices)
-        feature_matrix = np.empty(
-            (n_prop + n_augmented, unified.shape[1])
-        )
-        np.take(
-            unified,
-            np.asarray(row_indices, dtype=np.intp),
-            axis=0,
-            out=feature_matrix[:n_prop],
-        )
-        if aug_features is not None:
-            feature_matrix[n_prop:] = aug_features
-        label_vector = np.concatenate(labels)
-    else:
-        feature_matrix = np.zeros((0, unified.shape[1]))
-        label_vector = np.zeros(0)
     return AttributeTrainingData(
         attr=attr,
-        features=feature_matrix,
-        labels=label_vector,
+        features=np.concatenate(features),
+        labels=np.concatenate(labels),
         row_indices=row_indices,
         n_propagated=outcome.n_propagated,
         n_removed_by_verification=outcome.n_removed,

@@ -137,10 +137,14 @@ class Criterion:
         if rows is None and not context_names:
             # The codes already are the fold: ids follow first
             # appearance, the order a sorted fold visits first rows in.
+            # Every context cell is absent, so each key is `_row_key`'s
+            # tuple with blank context cells.
+            blanks = ("",) * len(self.context_attrs)
             verdicts = np.empty(enc.n_unique, dtype=bool)
             for j, value in enumerate(enc.uniques):
-                row = {self.attr: value}
-                verdicts[j] = self._check_consumable(row, self._row_key(row))
+                verdicts[j] = self._check_consumable(
+                    {self.attr: value}, (value, *blanks)
+                )
             return verdicts[enc.codes]
         idx = None if rows is None else np.asarray(rows, dtype=np.int64)
         value_col = table.column_view(self.attr)

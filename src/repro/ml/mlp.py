@@ -20,10 +20,11 @@ Two execution engines share one training loop:
   probabilities (hence downstream masks) may shift within the parity
   band recorded in ``tests/test_step34_engine.py``.
 
-``predict_proba`` reuses caller-provided workspace buffers (one set per
-``(rows, hidden)`` shape, shared across a table's attributes by
-``ErrorDetector.predict``) and, on the fast engine, processes the input
-in row-blocked float32 tiles.
+``predict_proba`` is one forward pass in the model's dtype over the rows
+it is given; callers bound its memory by the rows they pass
+(``ErrorDetector.predict`` passes unique-key blocks).  It reuses
+caller-provided workspace buffers, one set per ``(rows, hidden)`` shape,
+shared across a table's attributes.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from repro.ml.rng import RngLike, as_generator
 
 #: Detector execution engines (mirrors ``config.SAMPLING_ENGINES``).
 MLP_ENGINES = ("exact", "fast")
-
-#: Row-block size for fast-engine prediction tiles.
-PREDICT_BLOCK_ROWS = 65_536
 
 _PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -216,34 +214,20 @@ class MLPClassifier:
     ) -> np.ndarray:
         """Probability of the positive (erroneous) class per row.
 
-        ``workspace`` supplies reusable activation buffers (shared
-        across calls and models with equal row counts); without one the
-        buffers are allocated locally.  The exact engine runs one
-        full-matrix float64 pass — the historical arithmetic, bit for
-        bit; the fast engine runs float32 row-blocked tiles.
+        One forward pass in the model's dtype — float64 on the exact
+        engine, the historical arithmetic bit for bit; float32 on the
+        fast one.  ``workspace`` supplies reusable activation buffers
+        (shared across calls and models with equal row counts); without
+        one the buffers are allocated locally.
         """
         if self._params is None:
             raise NotFittedError("MLPClassifier.predict_proba before fit")
         ws = workspace if workspace is not None else Workspace()
-        if self.engine == "fast":
-            x = np.ascontiguousarray(x, dtype=np.float32)
-            n = x.shape[0]
-            out = np.empty(n)
-            for start in range(0, max(n, 1), PREDICT_BLOCK_ROWS):
-                block = x[start : start + PREDICT_BLOCK_ROWS]
-                if block.shape[0]:
-                    out[start : start + block.shape[0]] = self._forward(
-                        block, ws
-                    )
-            return out
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        return self._forward(x, ws)
-
-    def _forward(self, x: np.ndarray, ws: Workspace) -> np.ndarray:
+        dtype = self._dtype
+        x = np.ascontiguousarray(x, dtype=dtype)
         params = self._params
         n = x.shape[0]
         h = self.hidden
-        dtype = self._dtype
         h1 = ws.get("p_h1", (n, h), dtype)
         h2 = ws.get("p_h2", (n, h), dtype)
         logits = ws.get("p_logits", (n, 1), dtype)
@@ -256,9 +240,6 @@ class MLPClassifier:
         np.matmul(h2, params["w3"], out=logits)
         logits += params["b3"]
         return np.asarray(_sigmoid(logits.ravel()), dtype=np.float64)
-
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return self.predict_proba(x) >= threshold
 
     # ------------------------------------------------------------------
     def export_flat_params(self) -> np.ndarray:

@@ -14,9 +14,10 @@ fit's own table through it too.  The path is deliberately narrow:
   features once per distinct value, vicinity ratios once per distinct
   value pair and criteria once per distinct (value, context) combo
   (once per distinct value for a criterion with no context column),
-  and the fast detector engine builds, scales and predicts only one
-  unified row per unique key, in fixed row blocks, so scoring memory
-  follows the distinct values and keys rather than the row count.
+  and the detector, on either engine, builds, scales and predicts only
+  one unified row per unique key, in fixed row blocks, so scoring
+  memory follows the distinct values and keys rather than the row
+  count.
   Every fold goes through :func:`~repro.data.encoding.unique_keys`,
   which answers a one-row request — its own unique — without a sort;
 * **per-attribute fan-out** — feature blocks and detector prediction

@@ -67,6 +67,16 @@ MANIFEST_FORMAT = "zeroed-streaming-score-manifest"
 MANIFEST_VERSION = 1
 
 
+def _resolve_chunk_rows(chunk_rows: int | None) -> int:
+    """``chunk_rows``, or ``DEFAULT_CHUNK_ROWS`` when it is None; values
+    below 1 raise :class:`DataError`."""
+    if chunk_rows is None:
+        return DEFAULT_CHUNK_ROWS
+    if chunk_rows < 1:
+        raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    return chunk_rows
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -187,7 +197,7 @@ def reservoir_sample_csv(
     more than ``chunk_rows`` source rows plus the reservoir itself live
     in memory.
     """
-    chunk_rows = chunk_rows or DEFAULT_CHUNK_ROWS
+    chunk_rows = _resolve_chunk_rows(chunk_rows)
     return reservoir_sample_chunks(
         iter_csv_chunks(path, chunk_rows),
         sample_rows,
@@ -445,7 +455,9 @@ def score_csv(
     for the journal and sidecar files.
     """
     path = Path(path)
-    chunk_rows = chunk_rows or scorer.config.chunk_rows or DEFAULT_CHUNK_ROWS
+    chunk_rows = _resolve_chunk_rows(
+        scorer.config.chunk_rows if chunk_rows is None else chunk_rows
+    )
     if bad_rows is None:
         bad_rows = getattr(scorer.config, "bad_rows", "fail")
     if resume and journal_dir is None:

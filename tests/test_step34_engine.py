@@ -16,9 +16,10 @@ implementations (``tests/_reference_step34.py``):
 * the flat in-place Adam trainer — bitwise-identical parameters, loss
   history and probabilities versus the seed dict-of-arrays loop; the
   workspace-buffered prediction path returns identical results;
-* the opt-in ``detector_engine="fast"`` — deterministic, duplicate
-  rows get one verdict, and downstream P/R/F1 stays within the
-  recorded parity band (the PR 2 sampling-engine test pattern).
+* the detector engines — on both, duplicate feature rows get one
+  verdict, the one a forward pass over every row gives; the opt-in
+  ``detector_engine="fast"`` is deterministic and its downstream
+  P/R/F1 stays within the recorded parity band.
 """
 
 from __future__ import annotations
@@ -639,17 +640,6 @@ class TestFastEngine:
         clf.fit(x, y)
         assert all(np.isfinite(v) for v in clf.loss_history_)
 
-    def test_blocked_prediction_matches_unblocked(self, monkeypatch):
-        import repro.ml.mlp as mlp_mod
-
-        x, y = training_blob(seed=7, n=500)
-        clf = MLPClassifier(hidden=8, epochs=4, seed=1, engine="fast")
-        clf.fit(x, y)
-        full = clf.predict_proba(x)
-        monkeypatch.setattr(mlp_mod, "PREDICT_BLOCK_ROWS", 64)
-        blocked = clf.predict_proba(x)
-        np.testing.assert_allclose(blocked, full, atol=1e-6, rtol=0)
-
 
 class TestDetectorEngine:
     def make_space(self, table, config):
@@ -687,8 +677,9 @@ class TestDetectorEngine:
         assert mask.column("x")[40:].all()
         assert not mask.column("x")[:40].any()
 
-    def test_fast_duplicate_rows_share_verdict(self):
-        detector, table, space = self.setup_detector("fast")
+    @pytest.mark.parametrize("engine", DETECTOR_ENGINES)
+    def test_duplicate_rows_share_verdict(self, engine):
+        detector, table, space = self.setup_detector(engine)
         mask = detector.predict(table, space)
         col = mask.column("x")
         # All 40 'common' rows are byte-identical feature rows; the
@@ -703,10 +694,11 @@ class TestDetectorEngine:
             masks.append(detector.predict(table, space).matrix.copy())
         assert np.array_equal(masks[0], masks[1])
 
-    def test_fast_code_dedup_matches_full_forward(self):
+    @pytest.mark.parametrize("engine", DETECTOR_ENGINES)
+    def test_code_dedup_matches_full_forward(self, engine):
         # The folded-code dedup must be a pure optimisation: same
         # verdicts as running the forward pass over every row.
-        detector, table, space = self.setup_detector("fast")
+        detector, table, space = self.setup_detector(engine)
         model = detector._models["x"]
         full = model.mlp.predict_proba(
             model.scaler.transform(space.unified_matrix("x"))

@@ -584,3 +584,25 @@ class TestDefaultChunkRows:
         result = pinned.score_csv(path)
         assert result.chunk_rows == 25
         assert len(result.shards) == 4
+
+    @pytest.mark.parametrize("chunk_rows", [0, -5])
+    def test_chunk_rows_below_one_rejected(
+        self, hospital_scorer, hospital_foreign, tmp_path, chunk_rows
+    ):
+        path = tmp_path / "t.csv"
+        write_csv(hospital_foreign, path)
+        journal_dir = tmp_path / "journal"
+        quarantine = tmp_path / "t.quarantine.jsonl"
+        with pytest.raises(DataError, match="chunk_rows must be >= 1"):
+            hospital_scorer.score_csv(
+                path,
+                chunk_rows=chunk_rows,
+                journal_dir=journal_dir,
+                bad_rows="quarantine",
+                quarantine_path=quarantine,
+            )
+        # Rejected before any journal or quarantine file is opened.
+        assert not journal_dir.exists()
+        assert not quarantine.exists()
+        with pytest.raises(DataError, match="chunk_rows must be >= 1"):
+            reservoir_sample_csv(path, 10, seed=0, chunk_rows=chunk_rows)

@@ -4,15 +4,15 @@ Pinned properties:
 
 * **Memory follows unique keys** — scoring a table whose rows repeat
   40 times peaks at a small multiple of scoring its distinct rows
-  once: the fast engine builds feature rows only for unique keys, and
-  the scorer caches per-value and narrow per-row feature blocks, never
-  ``n × width`` base matrices.
-* **Block boundaries are invisible** — the fast engine's prediction
-  row block (``FAST_PREDICT_BLOCK_ROWS``) and the embedding's
-  unseen-token block (``RESOLVE_BLOCK_TOKENS``) change only how much is
-  held at once: masks and embeddings are byte-identical for blocks of
-  1, 7 and larger than the table, for any jobs count, on 0-row and
-  1-row tables too.
+  once, on both detector engines: the detector builds feature rows
+  only for unique keys, and the scorer caches per-value and narrow
+  per-row feature blocks, never ``n × width`` base matrices.
+* **Block boundaries are invisible** — the detector's prediction row
+  block (``PREDICT_BLOCK_ROWS``) and the embedding's unseen-token
+  block (``RESOLVE_BLOCK_TOKENS``) change only how much is held at
+  once: masks and embeddings are byte-identical for blocks of 1, 7 and
+  larger than the table, for any jobs count, on 0-row and 1-row tables
+  too, on both detector engines.
 * **A row scored alone is scored as in any batch** — every row of an
   unseen table scored alone (``score_rows([row])``, a one-row
   request) gets exactly its row of the whole-table mask, on both
@@ -39,7 +39,7 @@ from repro.core import detector
 from repro.core.pipeline import ZeroED
 from repro.data.registry import get_dataset, make_dataset
 from repro.data.table import Table
-from repro.text import embeddings
+from repro.text import embeddings, patterns
 from repro.text.embeddings import SubwordHashEmbedding
 
 BLOCK_SIZES = [1, 7, 1_000_000]
@@ -60,10 +60,18 @@ def _traced_peak(fn) -> int:
 
 
 class TestMemoryFollowsUniqueKeys:
-    def test_tiled_rows_peak_near_distinct_rows_peak(self):
+    @pytest.mark.parametrize("detector_engine", ["fast", "exact"])
+    def test_tiled_rows_peak_near_distinct_rows_peak(
+        self, detector_engine, monkeypatch
+    ):
+        # Every case starts from cold process-wide memo caches, so the
+        # distinct rows' peak does not depend on what was scored before.
+        monkeypatch.setattr(SubwordHashEmbedding, "_shared_instances", {})
+        patterns.all_levels.cache_clear()
+        patterns.generalize.cache_clear()
         config = ZeroEDConfig(
             seed=0,
-            detector_engine="fast",
+            detector_engine=detector_engine,
             label_rate=0.1,
             mlp_epochs=8,
             criteria_sample_size=20,
@@ -96,43 +104,72 @@ def fast_config() -> ZeroEDConfig:
     )
 
 
-@pytest.fixture(scope="module", params=["hospital", "beers", "tax"])
-def case(request, fast_config):
-    """A fast-engine scorer and a table it never saw."""
-    dataset = get_dataset(request.param)
-    scorer = ZeroED(fast_config).fit(dataset.make(n_rows=150, seed=7).dirty)
+def _fit_case(dataset_name: str, config: ZeroEDConfig):
+    """A scorer fitted on ``dataset_name`` and a table it never saw."""
+    dataset = get_dataset(dataset_name)
+    scorer = ZeroED(config).fit(dataset.make(n_rows=150, seed=7).dirty)
     return scorer.scorer(), dataset.make(n_rows=TABLE_ROWS, seed=29).dirty
 
 
+@pytest.fixture(scope="module", params=["hospital", "beers", "tax"])
+def case(request, fast_config):
+    """A fast-engine scorer and a table it never saw."""
+    return _fit_case(request.param, fast_config)
+
+
+@pytest.fixture(scope="module")
+def exact_case(case, fast_config):
+    """``case`` with its scorer fitted on the exact detector engine."""
+    _, table = case
+    config = dataclasses.replace(fast_config, detector_engine="exact")
+    return _fit_case(table.name, config)
+
+
 def _patch_blocks(monkeypatch, scorer, block: int) -> None:
-    monkeypatch.setattr(detector, "FAST_PREDICT_BLOCK_ROWS", block)
+    monkeypatch.setattr(detector, "PREDICT_BLOCK_ROWS", block)
     monkeypatch.setattr(embeddings, "RESOLVE_BLOCK_TOKENS", block)
     # Resolve every token again, under the patched token block.
     for featurizer in scorer.featurizers.values():
         featurizer.embedding._token_cache.clear()
 
 
+def _assert_block_invisible(case, engine, block, jobs, monkeypatch):
+    scorer, table = case
+    scorer = scorer.with_jobs(jobs)
+    assert scorer.detector.engine == engine
+    expected = _sha(scorer.score_table(table).mask)
+    _patch_blocks(monkeypatch, scorer, block)
+    assert _sha(scorer.score_table(table).mask) == expected
+
+
 class TestBlockBoundaries:
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_fast_masks_byte_identical(self, case, block, jobs, monkeypatch):
-        scorer, table = case
-        scorer = scorer.with_jobs(jobs)
-        assert scorer.detector.engine == "fast"
-        expected = _sha(scorer.score_table(table).mask)
-        _patch_blocks(monkeypatch, scorer, block)
-        assert _sha(scorer.score_table(table).mask) == expected
+        _assert_block_invisible(case, "fast", block, jobs, monkeypatch)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
-    def test_empty_and_single_row_tables(self, case, block, monkeypatch):
-        scorer, table = case
-        whole = scorer.score_table(table).mask.matrix
-        _patch_blocks(monkeypatch, scorer, block)
-        empty = scorer.score_table(table.select_rows([])).mask.matrix
-        assert empty.shape == (0, table.n_attributes)
-        for i in (0, table.n_rows - 1):
-            one = scorer.score_table(table.select_rows([i])).mask.matrix
-            np.testing.assert_array_equal(one, whole[i : i + 1])
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_exact_masks_byte_identical(
+        self, exact_case, block, jobs, monkeypatch
+    ):
+        _assert_block_invisible(exact_case, "exact", block, jobs, monkeypatch)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_empty_and_single_row_tables(
+        self, case, exact_case, block, monkeypatch
+    ):
+        cases = (case, exact_case)
+        wholes = [
+            scorer.score_table(table).mask.matrix for scorer, table in cases
+        ]
+        for (scorer, table), whole in zip(cases, wholes):
+            _patch_blocks(monkeypatch, scorer, block)
+            empty = scorer.score_table(table.select_rows([])).mask.matrix
+            assert empty.shape == (0, table.n_attributes)
+            for i in (0, table.n_rows - 1):
+                one = scorer.score_table(table.select_rows([i])).mask.matrix
+                np.testing.assert_array_equal(one, whole[i : i + 1])
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_embed_uniques_byte_identical(self, block, monkeypatch):
@@ -157,16 +194,9 @@ def _rows(table: Table) -> list[dict[str, str]]:
 
 
 @pytest.fixture(scope="module", params=["fast", "exact"])
-def engine_case(request, case, fast_config):
+def engine_case(request, case, exact_case):
     """``case`` with its scorer fitted for the given detector engine."""
-    if request.param == "fast":
-        return case
-    _, table = case
-    config = dataclasses.replace(fast_config, detector_engine="exact")
-    fitted = ZeroED(config).fit(
-        get_dataset(table.name).make(n_rows=150, seed=7).dirty
-    )
-    return fitted.scorer(), table
+    return case if request.param == "fast" else exact_case
 
 
 @pytest.fixture(scope="module")
