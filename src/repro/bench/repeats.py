@@ -4,6 +4,8 @@ The paper reports every number as "the average of three repeated
 experiments" (§IV-A) and backs Table III/IV claims with paired t-tests.
 This module runs a method across seeds and aggregates mean/std, plus a
 paired t-test helper built on scipy for method-vs-method comparisons.
+``scipy.stats`` is imported on first use, in :func:`paired_t_test`, so
+importing the CLI (which imports this package) loads no SciPy module.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.bench.harness import MethodRun, run_method
 
@@ -85,5 +86,7 @@ def paired_t_test(
     """
     if len(a.f1_values) != len(b.f1_values):
         raise ValueError("aggregates must have the same number of runs")
+    from scipy import stats as scipy_stats
+
     statistic, p_value = scipy_stats.ttest_rel(a.f1_values, b.f1_values)
     return float(statistic), float(p_value)

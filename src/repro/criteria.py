@@ -125,30 +125,38 @@ class Criterion:
         a criterion on the same cells.  The criterion is a pure function
         of them, so it runs once per distinct value-combination (found
         via the table's interned column codes), on the combo's first
-        row, and the verdicts are scattered back with one gather.  Over
-        every row with no context column in the table the value alone
-        decides: the criterion runs once per ``enc.uniques`` and the
-        verdicts gather by ``enc.codes``, at any table size.
+        row, and the verdicts are scattered back with one gather.  With
+        no context column in the table the value alone decides: the
+        criterion runs once per value code present in ``rows`` and the
+        verdicts gather by those codes, at any table size.  Each verdict
+        is cached under :meth:`_row_key`'s tuple — the value, then each
+        ``context_attrs`` cell, ``""`` where the table has none — so
+        :meth:`check` shares the cache.
         """
         enc = table.encoding(self.attr)
+        idx = None if rows is None else np.asarray(rows, dtype=np.int64)
         context_names = [a for a in self.context_attrs if a in table.attributes]
         # Each row dict built here is fresh and discarded, so it can go
         # to the compiled function without `check`'s defensive copy.
-        if rows is None and not context_names:
-            # The codes already are the fold: ids follow first
-            # appearance, the order a sorted fold visits first rows in.
-            # Every context cell is absent, so each key is `_row_key`'s
-            # tuple with blank context cells.
+        if not context_names:
+            # The value codes already are the fold: the loop visits
+            # them in ascending order, as a sorted fold would.
             blanks = ("",) * len(self.context_attrs)
+            if idx is None:
+                codes, present = enc.codes, enumerate(enc.uniques)
+            else:
+                codes = enc.codes[idx]
+                seen = np.zeros(enc.n_unique, dtype=bool)
+                seen[codes] = True
+                present = [
+                    (j, enc.uniques[j]) for j in np.flatnonzero(seen).tolist()
+                ]
             verdicts = np.empty(enc.n_unique, dtype=bool)
-            for j, value in enumerate(enc.uniques):
+            for j, value in present:
                 verdicts[j] = self._check_consumable(
                     {self.attr: value}, (value, *blanks)
                 )
-            return verdicts[enc.codes]
-        idx = None if rows is None else np.asarray(rows, dtype=np.int64)
-        value_col = table.column_view(self.attr)
-        context_cols = [table.column_view(a) for a in context_names]
+            return verdicts[codes]
         # One int64 key per row for the (value, context...) combo; a
         # 1-D fold is much cheaper than an axis=0 lexsort (fold_codes
         # falls back to one only when the combined cardinality
@@ -160,12 +168,22 @@ class Criterion:
         _, first_pos, inverse, _ = unique_keys(key)
         if idx is not None:
             first_pos = idx[first_pos]
-        verdicts = np.empty(len(first_pos), dtype=bool)
-        for j, i in enumerate(first_pos.tolist()):
-            row = {self.attr: value_col[i]}
-            for name, col in zip(context_names, context_cols):
-                row[name] = col[i]
-            verdicts[j] = self._check_consumable(row, self._row_key(row))
+        first = first_pos.tolist()
+        value_col = table.column_view(self.attr)
+        cells = {}
+        for name in context_names:
+            col = table.column_view(name)
+            cells[name] = [col[i] for i in first]
+        blank_cells = [""] * len(first)
+        key_columns = [[value_col[i] for i in first]] + [
+            cells.get(a, blank_cells) for a in self.context_attrs
+        ]
+        verdicts = np.empty(len(first), dtype=bool)
+        for j, cell_key in enumerate(zip(*key_columns)):
+            row = {self.attr: cell_key[0]}
+            for name in context_names:
+                row[name] = cells[name][j]
+            verdicts[j] = self._check_consumable(row, cell_key)
         return verdicts[inverse]
 
     def evaluate_values(

@@ -5,12 +5,14 @@ agglomerative vs k-means sampling).  Built on SciPy's hierarchical
 clustering; for large inputs a seeded subsample is clustered and the
 remaining points are assigned to the nearest cluster mean, keeping the
 comparison tractable at benchmark scale.
+
+SciPy is imported on first use, in :meth:`_cluster_exact`: importing
+``repro.ml`` (and so every scoring process) loads no SciPy module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from repro.errors import NotFittedError
 from repro.ml.distance import nearest_centers
@@ -62,6 +64,8 @@ class AgglomerativeClustering:
 
     # ------------------------------------------------------------------
     def _cluster_exact(self, x: np.ndarray, k: int) -> np.ndarray:
+        from scipy.cluster.hierarchy import fcluster, linkage
+
         tree = linkage(x, method="average")
         # fcluster labels are 1-based.
         return fcluster(tree, t=k, criterion="maxclust") - 1

@@ -100,7 +100,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.errors import ArtifactError, ReproError
+from repro.errors import ArtifactError, ConfigError, ReproError
 from repro.obs import log as obs_log
 from repro.obs import trace
 from repro.obs.metrics import (
@@ -441,28 +441,37 @@ class ScoringService:
         #: Worker-pool mode: batches score in N spawn-started processes
         #: that load each artifact themselves, so the default needs a
         #: path (in-memory-only scorers cannot cross a process boundary).
-        if workers:
-            if artifact_path is None:
-                raise ArtifactError(
-                    "workers > 0 needs an artifact path — worker "
-                    "processes load the scorer from disk"
-                )
-            self._pool = WorkerPool(workers)
-        else:
-            self._pool = None
+        if workers and artifact_path is None:
+            raise ArtifactError(
+                "workers > 0 needs an artifact path — worker "
+                "processes load the scorer from disk"
+            )
         self._stats_lock = threading.Lock()
         self._draining = False
         #: Per-service metric namespace (no process-global registry, so
         #: tests running many services in one process never collide).
         self.metrics = MetricsRegistry()
         self._init_metrics()
-        self._batcher = _MicroBatcher(
-            self._score_batch_rows,
-            linger_s=linger_s,
-            max_queue_rows=max_queue_rows,
-            n_lanes=workers if workers else 1,
-        )
-        self._server = _Server((host, port), _make_handler(self))
+        # Bind before any lane or worker exists, so a port that cannot
+        # be taken leaves nothing running behind the error.
+        try:
+            self._server = _Server((host, port), _make_handler(self))
+        except (OSError, OverflowError) as exc:  # taken / out of range
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(
+                f"cannot listen on {host}:{port}: {reason}"
+            ) from exc
+        try:
+            self._pool = WorkerPool(workers) if workers else None
+            self._batcher = _MicroBatcher(
+                self._score_batch_rows,
+                linger_s=linger_s,
+                max_queue_rows=max_queue_rows,
+                n_lanes=workers if workers else 1,
+            )
+        except BaseException:
+            self._server.server_close()
+            raise
         self._thread: threading.Thread | None = None
         self._serving = False
 

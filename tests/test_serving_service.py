@@ -24,6 +24,7 @@ import pytest
 from repro.config import ZeroEDConfig
 from repro.core.pipeline import ZeroED
 from repro.data.registry import get_dataset
+from repro.errors import ConfigError
 from repro.serving.artifact import ARTIFACT_VERSION
 from repro.serving.scorer import BatchScorer
 from repro.serving import service as service_mod
@@ -394,6 +395,54 @@ def _post_headers(url: str, payload) -> tuple[int, dict, dict]:
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
+
+
+class TestCannotListen:
+    """A port that is taken or out of range fails as a config error,
+    with nothing left running: the socket is bound before any lane or
+    worker starts."""
+
+    @pytest.fixture
+    def busy_port(self):
+        holder = socket.socket()
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        yield holder.getsockname()[1]
+        holder.close()
+
+    @staticmethod
+    def _lanes() -> set:
+        return {
+            t for t in threading.enumerate()
+            if t.name.startswith("score-lane-")
+        }
+
+    def test_constructor_raises_config_error_and_starts_no_lane(
+        self, scorer, busy_port
+    ):
+        before = self._lanes()
+        with pytest.raises(ConfigError, match=f"cannot listen on "
+                           f"127.0.0.1:{busy_port}"):
+            ScoringService(scorer, port=busy_port)
+        assert self._lanes() <= before
+
+    def test_out_of_range_port_is_a_config_error(self, scorer):
+        with pytest.raises(ConfigError, match="port must be 0-65535"):
+            ScoringService(scorer, port=70000)
+
+    def test_cli_serve_exits_3_with_one_json_line(
+        self, artifact_path, busy_port, capsys
+    ):
+        from repro import cli
+
+        code = cli.main(
+            ["serve", "--artifact", str(artifact_path),
+             "--port", str(busy_port)]
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "config_error"
 
 
 class TestResilience:

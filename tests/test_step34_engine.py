@@ -165,6 +165,32 @@ class TestEvaluateRows:
         t = Table(["x"], {"x": ["a", "", "b"]})
         assert crit.evaluate_column(t, []).shape == (0,)
 
+    @pytest.mark.parametrize("context", [[], ["zip"]])
+    def test_context_free_rows_run_once_per_value_present(self, context):
+        # No context column in the table: the criterion runs once per
+        # distinct value among the rows ("c" is never evaluated), and
+        # each verdict is cached under `_row_key`'s tuple.
+        calls = []
+
+        def is_clean(row, attr):
+            calls.append(row[attr])
+            return row[attr] != "b"
+
+        crit = Criterion(
+            attr="x", name="is_clean", source="", context_attrs=context,
+            _fn=is_clean,
+        )
+        t = Table(["x"], {"x": ["a", "b", "c", "a"]})
+        rows = [3, 0, 3, 1]
+        got = crit.evaluate_column(t, rows)
+        assert calls == ["a", "b"]
+        assert set(crit._cache) == {
+            crit._row_key({"x": "a"}), crit._row_key({"x": "b"})
+        }
+        assert crit.check({"x": "a"}) and calls == ["a", "b"]
+        np.testing.assert_array_equal(got, crit.evaluate_column(t)[rows])
+        assert got.tolist() == [True, True, True, False]
+
     def test_rows_equal_whole_column_at_those_rows(self):
         # Restricting the fold to some rows (in any order, with
         # repeats) changes which rows are evaluated, never a verdict:
