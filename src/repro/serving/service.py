@@ -76,11 +76,16 @@ Scale-out (PR 9):
   manifest summary.
 
 Requests are **micro-batched**: handler threads enqueue their rows and
-block; a single scoring worker drains whatever accumulated within a
-short linger window, scores it as *one* table (one featurization pass,
-one detector sweep — the per-row cost amortises exactly like the
-pipeline's columnar fast paths), and fans the per-row flags back to the
-waiting handlers.  Scoring is row-independent (every feature consults
+block; a scoring lane drains whatever has queued, scores it as *one*
+table (one featurization pass, one detector sweep — the per-row cost
+amortises exactly like the pipeline's columnar fast paths), and fans
+the per-row flags back to the waiting handlers.  A batch waits for
+company only on evidence that company is coming — its first request
+queued while every lane was scoring, or the previous batch coalesced
+more than one request — and then at most ``linger_s``, closing as soon
+as it holds as many requests as the previous batch did.  A lone
+request on an idle lane is scored at once; concurrent clients keep
+coalescing.  Scoring is row-independent (every feature consults
 frozen training statistics, never the co-batched rows), so batching
 never changes a response — a single request's flags are bitwise the
 flags of any batch containing it (asserted in
@@ -115,8 +120,9 @@ from repro.serving.workers import WorkerPool, WorkerPoolBroken
 
 _log = obs_log.get_logger("repro.serving.service")
 
-#: How long the batching worker lingers after the first queued request
-#: to let concurrent requests coalesce, and the row cap per batch.
+#: The longest a batch waits for company (a batch waits only on
+#: evidence that concurrent requests are coming), and the row cap per
+#: batch.
 DEFAULT_LINGER_S = 0.002
 MAX_BATCH_ROWS = 4096
 #: How long a handler thread waits for its batch to be scored.
@@ -199,6 +205,11 @@ class _MicroBatcher:
         self.n_rows = 0
         self.n_shed = 0
         self.n_expired = 0
+        #: Batches that waited for company, and the seconds they waited.
+        self.n_lingered = 0
+        self.lingered_s = 0.0
+        #: Requests in the batch a lane closed last.
+        self._last_batch = 1
         self._lanes = [
             threading.Thread(
                 target=self._loop, name=f"score-lane-{i}", daemon=True
@@ -207,10 +218,6 @@ class _MicroBatcher:
         ]
         for lane in self._lanes:
             lane.start()
-
-    @property
-    def queued_rows(self) -> int:
-        return self._queued_rows
 
     def submit(
         self,
@@ -293,6 +300,8 @@ class _MicroBatcher:
                 "expired": self.n_expired,
                 "queued_rows": self._queued_rows,
                 "inflight": self._inflight,
+                "lingered_batches": self.n_lingered,
+                "lingered_s": self.lingered_s,
             }
 
     def stop(self) -> None:
@@ -333,11 +342,25 @@ class _MicroBatcher:
         return None
 
     def _collect_batch(self) -> list[_Pending]:
-        """Block for the first request, linger briefly for company."""
+        """Block for the first request; wait for company on evidence.
+
+        Queued same-key entries always join without waiting.  The batch
+        then waits for more only when company is likely: its first
+        entry was already queued when this lane came for it while every
+        other lane was scoring (so every lane was busy), or the
+        previous batch held more than one request.  ``linger_s`` is the
+        longest it waits; it closes as soon as it holds as many
+        requests as the previous batch did (at least 2), or when a
+        wake-up finds the queue empty (another lane finished or took
+        the request, or the batcher stopped).  A lone request on an
+        idle lane is scored at once.
+        """
         with self._cond:
             first = None
+            waited = False
             while first is None:
                 while not self._queue and not self._stopped:
+                    waited = True
                     self._cond.wait(0.1)
                 if self._stopped and not self._queue:
                     return []
@@ -346,7 +369,16 @@ class _MicroBatcher:
                 first = self._pop_live()
             batch = [first]
             total = len(first.rows)
+            all_busy = (
+                not waited and self._inflight >= len(self._lanes) - 1
+            )
+            company = (
+                max(2, self._last_batch)
+                if all_busy or self._last_batch > 1
+                else 1
+            )
             deadline = time.monotonic() + self._linger_s
+            waited_from = None
             while total < MAX_BATCH_ROWS:
                 if self._queue:
                     nxt = self._pop_live(first.key)
@@ -355,12 +387,18 @@ class _MicroBatcher:
                     batch.append(nxt)
                     total += len(nxt.rows)
                     continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                now = time.monotonic()
+                if len(batch) >= company or now >= deadline:
                     break
-                self._cond.wait(remaining)
+                if waited_from is None:
+                    waited_from = now
+                self._cond.wait(deadline - now)
                 if not self._queue:
                     break
+            if waited_from is not None:
+                self.n_lingered += 1
+                self.lingered_s += time.monotonic() - waited_from
+            self._last_batch = len(batch)
             self._inflight += 1
             return batch
 
@@ -415,6 +453,10 @@ class ScoringService:
         workers: int = 0,
         budget_bytes: int | None = None,
     ) -> None:
+        if workers < 0:
+            raise ConfigError(
+                f"workers must be >= 0 (0 = in-process), got {workers}"
+            )
         self.started_at = time.time()
         self.n_requests = 0
         self.n_reloads = 0
@@ -563,6 +605,14 @@ class ScoringService:
             "repro_deadline_expired_total",
             "Requests whose deadline expired before scoring",
         )
+        self._m_lingered = m.counter(
+            "repro_lingered_batches_total",
+            "Micro-batches that waited for company before scoring",
+        )
+        self._m_linger_s = m.counter(
+            "repro_linger_seconds_total",
+            "Seconds micro-batches waited for company",
+        )
         self._m_queue_rows = m.gauge(
             "repro_queue_rows", "Rows waiting in the micro-batch queue"
         )
@@ -635,6 +685,8 @@ class ScoringService:
         self._m_rows.set_total(stats["rows"])
         self._m_shed.set_total(stats["shed"])
         self._m_expired.set_total(stats["expired"])
+        self._m_lingered.set_total(stats["lingered_batches"])
+        self._m_linger_s.set_total(stats["lingered_s"])
         self._m_queue_rows.set(stats["queued_rows"])
         self._m_inflight.set(stats["inflight"])
         with self._stats_lock:
@@ -930,6 +982,8 @@ class ScoringService:
             "queued_rows": stats["queued_rows"],
             "shed": stats["shed"],
             "deadline_expired": stats["expired"],
+            "lingered_batches": stats["lingered_batches"],
+            "lingered_s": stats["lingered_s"],
             "reloads": n_reloads,
             "degraded_attrs": resilience.get("degraded_attrs") or {},
             "circuit_breaker": breaker,

@@ -43,6 +43,8 @@ from repro.parallel import parallel_attr_map
 from repro.serving.scorer import BatchScorer
 from repro.serving.service import ScoringService
 
+from _serving_helpers import GatedScorer, wait_until
+
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
@@ -548,6 +550,8 @@ class TestMetricsEndpoint:
             "repro_scored_rows_total": "counter",
             "repro_shed_total": "counter",
             "repro_deadline_expired_total": "counter",
+            "repro_lingered_batches_total": "counter",
+            "repro_linger_seconds_total": "counter",
             "repro_reloads_total": "counter",
             "repro_queue_rows": "gauge",
             "repro_uptime_seconds": "gauge",
@@ -636,6 +640,63 @@ class TestMetricsEndpoint:
         assert samples[("repro_deadline_expired_total", ())] == health[
             "deadline_expired"
         ]
+        assert samples[("repro_lingered_batches_total", ())] == health[
+            "lingered_batches"
+        ]
+        assert samples[("repro_linger_seconds_total", ())] == health[
+            "lingered_s"
+        ]
+
+    def test_linger_counters_count_batches_that_waited(self, obs_service):
+        """A lone request on an idle service never waits; a request
+        queued while the lane scored waits for company, and its pair
+        closes when the company arrives."""
+        gated = GatedScorer(obs_service.scorer)
+        svc = ScoringService(gated, port=0, linger_s=5.0).start()
+        batcher = svc._batcher
+        row = {obs_service.scorer.attributes[0]: "x"}
+
+        def lingered():
+            _helps, _types, samples = parse_prometheus(
+                _fetch(svc.url + "/metrics")[2]
+            )
+            return (samples[("repro_lingered_batches_total", ())],
+                    samples[("repro_linger_seconds_total", ())])
+
+        def post_in_background():
+            answers = []
+            thread = threading.Thread(target=lambda: answers.append(
+                _post_json(svc.url + "/score", {"rows": [row]})
+            ))
+            thread.start()
+            return thread, answers
+
+        try:
+            _post_json(svc.url + "/score", {"rows": [row]})
+            assert lingered() == (0, 0)
+            # Hold the lane on one request while a second queues.
+            gated.gate.clear()
+            held, held_answers = post_in_background()
+            wait_until(lambda: batcher.stats()["inflight"] == 1)
+            waiting, answers = post_in_background()
+            wait_until(lambda: batcher.stats()["queued_rows"] == 1)
+            gated.gate.set()
+            held.join(timeout=30)
+            assert held_answers[0][1]["batched_with"] == 1
+            # Popped, not yet scoring: the request waits for company.
+            wait_until(batcher.idle)
+            _status, payload = _post_json(
+                svc.url + "/score", {"rows": [row]}
+            )
+            waiting.join(timeout=30)
+            assert payload["batched_with"] == 2
+            assert answers[0][1]["batched_with"] == 2
+            count, seconds = lingered()
+            assert count == 1
+            assert 0 < seconds < 5.0
+        finally:
+            gated.gate.set()
+            svc.stop()
 
     def test_fit_provenance_metrics_from_artifact(self, obs_service):
         _, _, text = _fetch(obs_service.url + "/metrics")

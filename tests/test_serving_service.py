@@ -9,9 +9,11 @@ back as JSON errors with 4xx statuses.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -29,6 +31,8 @@ from repro.serving.artifact import ARTIFACT_VERSION
 from repro.serving.scorer import BatchScorer
 from repro.serving import service as service_mod
 from repro.serving.service import DeadlineExceeded, ScoringService
+
+from _serving_helpers import GatedScorer, wait_until
 
 #: A checked-in artifact whose schema differs from the hospital fit's.
 V1_FLIGHTS = Path(__file__).parent / "data" / "flights_v1_artifact"
@@ -268,6 +272,209 @@ class TestMicroBatcher:
             batcher.stop()
 
 
+class _Submit(threading.Thread):
+    """One one-row ``batcher.submit`` on a thread of its own, timed."""
+
+    def __init__(self, batcher, key: str | None = None) -> None:
+        super().__init__(daemon=True)
+        self._batcher = batcher
+        self._key = key
+        self.pending = None
+        self.seconds = None
+        self.start()
+
+    def run(self) -> None:
+        start = time.monotonic()
+        self.pending = self._batcher.submit([{"row": "x"}], key=self._key)
+        self.seconds = time.monotonic() - start
+
+    def result(self):
+        self.join(timeout=30)
+        assert self.pending is not None
+        return self.pending
+
+
+class TestAdaptiveLinger:
+    """A batch waits for company only on evidence that it is coming,
+    closes once it holds as many requests as the previous batch did,
+    and never waits longer than ``linger_s``.  The linger here is long
+    (1 s) so that timing margins hold on a slow host."""
+
+    LINGER_S = 1.0
+
+    @contextlib.contextmanager
+    def _batcher(self, keys, n_lanes: int):
+        """A batcher whose every routing key has a gate of its own."""
+        scorers = {key: GatedScorer() for key in keys}
+        batcher = service_mod._MicroBatcher(
+            lambda key, rows: scorers[key].score_rows(rows),
+            linger_s=self.LINGER_S,
+            n_lanes=n_lanes,
+        )
+        try:
+            yield batcher, {key: s.gate for key, s in scorers.items()}
+        finally:
+            for scorer in scorers.values():
+                scorer.gate.set()
+            batcher.stop()
+
+    @pytest.fixture
+    def gated(self):
+        with self._batcher([None], n_lanes=1) as (batcher, gates):
+            yield batcher, gates[None]
+
+    @pytest.fixture
+    def two_lanes(self):
+        with self._batcher(["a", "b"], n_lanes=2) as lanes:
+            yield lanes
+
+    @staticmethod
+    def _pair(batcher, gate) -> None:
+        """Two requests queue while the lane scores a third, and leave
+        as one 2-request batch."""
+        gate.clear()
+        held = _Submit(batcher)
+        wait_until(lambda: batcher.stats()["inflight"] == 1)
+        pair = [_Submit(batcher), _Submit(batcher)]
+        wait_until(lambda: batcher.stats()["queued_rows"] == 2)
+        gate.set()
+        assert held.result().batched_with == 1
+        assert [s.result().batched_with for s in pair] == [2, 2]
+
+    def test_lone_request_on_an_idle_batcher_skips_the_linger(self, gated):
+        batcher, _gate = gated
+        start = time.monotonic()
+        assert batcher.submit([{"row": "x"}]).batched_with == 1
+        assert time.monotonic() - start < 0.5 * self.LINGER_S
+        stats = batcher.stats()
+        assert stats["lingered_batches"] == 0
+        assert stats["lingered_s"] == 0
+
+    def test_requests_queued_while_scoring_share_a_batch(self, gated):
+        batcher, gate = gated
+        self._pair(batcher, gate)
+        # The pair was queued in full: it drained without waiting.
+        assert batcher.stats()["lingered_batches"] == 0
+
+    def test_after_a_pair_a_batch_closes_when_company_arrives(self, gated):
+        batcher, gate = gated
+        self._pair(batcher, gate)
+        first = _Submit(batcher)
+        time.sleep(0.05)
+        second = _Submit(batcher)
+        assert first.result().batched_with == 2
+        assert second.result().batched_with == 2
+        assert first.seconds < 0.5 * self.LINGER_S
+
+    def test_wait_is_capped_when_company_never_comes(self, gated):
+        batcher, gate = gated
+        self._pair(batcher, gate)
+        lone = _Submit(batcher)
+        assert lone.result().batched_with == 1
+        assert self.LINGER_S <= lone.seconds < 2 * self.LINGER_S
+        stats = batcher.stats()
+        assert stats["lingered_batches"] == 1
+        assert 0.9 * self.LINGER_S <= stats["lingered_s"] < 2 * self.LINGER_S
+        # A lone batch is no evidence: the next lone request, queued
+        # on an idle lane, is scored at once.
+        wait_until(batcher.idle)
+        again = _Submit(batcher)
+        assert again.result().batched_with == 1
+        assert again.seconds < 0.5 * self.LINGER_S
+        assert batcher.stats()["lingered_batches"] == 1
+
+    def test_an_idle_lane_scores_at_once_while_another_scores(
+        self, two_lanes
+    ):
+        """One busy lane out of two is no evidence of company: the idle
+        lane takes a lone request without waiting."""
+        batcher, gates = two_lanes
+        gates["a"].clear()
+        held = _Submit(batcher, key="a")
+        wait_until(lambda: batcher.stats()["inflight"] == 1)
+        start = time.monotonic()
+        lone = _Submit(batcher, key="b")
+        wait_until(lambda: lone.pending is not None)
+        assert time.monotonic() - start < 0.5 * self.LINGER_S
+        gates["a"].set()
+        assert held.result().batched_with == 1
+        assert lone.result().batched_with == 1
+        assert batcher.stats()["lingered_batches"] == 0
+
+    def test_a_waiting_lane_stops_when_another_lane_finishes(
+        self, two_lanes
+    ):
+        """A request queued while both lanes scored waits for company,
+        and stops waiting when the other lane finishes, since that lane
+        may take the company itself."""
+        batcher, gates = two_lanes
+        gates["a"].clear()
+        gates["b"].clear()
+        held_a = _Submit(batcher, key="a")
+        wait_until(lambda: batcher.stats()["inflight"] == 1)
+        held_b = _Submit(batcher, key="b")
+        wait_until(lambda: batcher.stats()["inflight"] == 2)
+        queued = _Submit(batcher, key="b")
+        wait_until(lambda: batcher.stats()["queued_rows"] == 1)
+        # The "b" lane finishes, finds the queued request while the "a"
+        # lane still scores, and waits for company.
+        gates["b"].set()
+        assert held_b.result().batched_with == 1
+        wait_until(lambda: batcher.stats()["queued_rows"] == 0)
+        assert batcher.stats()["inflight"] == 1
+        start = time.monotonic()
+        gates["a"].set()
+        assert held_a.result().batched_with == 1
+        assert queued.result().batched_with == 1
+        assert time.monotonic() - start < 0.5 * self.LINGER_S
+        assert batcher.stats()["lingered_batches"] == 1
+
+    def test_concurrent_submits_across_lanes_lose_no_update(self):
+        """More lanes and clients than cores, with a short switch
+        interval: every request gets its own row's flags, and the
+        counters the lanes share under the lock add up."""
+        sizes, lock = [], threading.Lock()
+
+        def score_fn(key, rows):
+            with lock:
+                sizes.append(len(rows))
+            ids = [int(row["i"]) for row in rows]
+            return np.array([[i % 2 == 1, i % 3 == 0] for i in ids])
+
+        batcher = service_mod._MicroBatcher(score_fn, n_lanes=4)
+        errors = []
+
+        def client(c: int) -> None:
+            try:
+                for i in range(c * 20, c * 20 + 20):
+                    flags = batcher.submit([{"i": str(i)}]).flags
+                    assert flags == [[i % 2 == 1, i % 3 == 0]]
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(c,))
+                for c in range(16)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.stop()
+        assert not errors
+        stats = batcher.stats()
+        assert stats["rows"] == sum(sizes) == 320
+        assert stats["batches"] == len(sizes)
+        assert stats["lingered_batches"] <= stats["batches"]
+        assert stats["queued_rows"] == 0 and stats["inflight"] == 0
+
+
 class TestHardening:
     """PR 6: structured error codes, payload cap, resilience health."""
 
@@ -397,6 +604,13 @@ def _post_headers(url: str, payload) -> tuple[int, dict, dict]:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
 
 
+def _lanes() -> set:
+    return {
+        t for t in threading.enumerate()
+        if t.name.startswith("score-lane-")
+    }
+
+
 class TestCannotListen:
     """A port that is taken or out of range fails as a config error,
     with nothing left running: the socket is bound before any lane or
@@ -410,21 +624,14 @@ class TestCannotListen:
         yield holder.getsockname()[1]
         holder.close()
 
-    @staticmethod
-    def _lanes() -> set:
-        return {
-            t for t in threading.enumerate()
-            if t.name.startswith("score-lane-")
-        }
-
     def test_constructor_raises_config_error_and_starts_no_lane(
         self, scorer, busy_port
     ):
-        before = self._lanes()
+        before = _lanes()
         with pytest.raises(ConfigError, match=f"cannot listen on "
                            f"127.0.0.1:{busy_port}"):
             ScoringService(scorer, port=busy_port)
-        assert self._lanes() <= before
+        assert _lanes() <= before
 
     def test_out_of_range_port_is_a_config_error(self, scorer):
         with pytest.raises(ConfigError, match="port must be 0-65535"):
@@ -438,6 +645,35 @@ class TestCannotListen:
         code = cli.main(
             ["serve", "--artifact", str(artifact_path),
              "--port", str(busy_port)]
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "config_error"
+
+
+class TestNegativeWorkers:
+    """A negative worker count is a config error, raised before the
+    socket is bound, like ``ZeroEDConfig.n_worker_procs < 0``."""
+
+    def test_constructor_raises_config_error_and_starts_no_lane(
+        self, artifact_path, scorer
+    ):
+        before = _lanes()
+        with pytest.raises(ConfigError, match="workers must be >= 0"):
+            ScoringService(
+                scorer, port=0, artifact_path=artifact_path, workers=-1
+            )
+        assert _lanes() <= before
+
+    def test_cli_serve_exits_3_with_one_json_line(
+        self, artifact_path, capsys
+    ):
+        from repro import cli
+
+        code = cli.main(
+            ["serve", "--artifact", str(artifact_path), "--port", "0",
+             "--workers", "-1"]
         )
         assert code == 3
         lines = capsys.readouterr().err.strip().splitlines()
