@@ -9,6 +9,7 @@ default LLM.  The four ablation switches correspond to Table IV's rows
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -253,6 +254,14 @@ class ZeroEDConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.n_correlated < 0:
             raise ConfigError("n_correlated must be >= 0")
+        for name in ("mlp_hidden", "mlp_epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not (math.isfinite(self.mlp_lr) and self.mlp_lr > 0):
+            raise ConfigError(
+                f"mlp_lr must be finite and positive, got {self.mlp_lr}"
+            )
         if self.clustering not in ("kmeans", "agglomerative", "random"):
             raise ConfigError(
                 f"clustering must be kmeans/agglomerative/random, "

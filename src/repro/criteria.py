@@ -9,8 +9,9 @@ module turns them into safe callables and evaluates them over tables:
   verdict is cached like any other);
 * :meth:`Criterion.evaluate_column` is the one fold over a table:
   every caller — scoring, verification on right-labeled rows, the
-  augmentation filter — hands it a table, and a criterion's context is
-  its ``context_attrs`` present in that table;
+  augmentation filter, pass rates over row dicts — hands it a table,
+  and a criterion's context is its ``context_attrs`` present in that
+  table;
 * per-value caching exploits ``context_attrs`` metadata: a criterion
   that reads only ``row[attr]`` is evaluated once per distinct value,
   which keeps the 200k-row Tax workload tractable.
@@ -196,17 +197,33 @@ class Criterion:
         rows' context cells (a missing cell reads as empty)."""
         if len(values) != len(rows):
             raise CriteriaError("values and rows must align")
-        names = list(dict.fromkeys([self.attr, *self.context_attrs]))
-        columns = {a: [row.get(a, "") for row in rows] for a in names}
-        columns[self.attr] = list(values)
-        return self.evaluate_column(Table(names, columns))
+        return self.evaluate_column(self._table_of(rows, values))
 
     def accuracy_on(self, rows: Sequence[Mapping[str, str]]) -> float:
-        """Fraction of ``rows`` this criterion accepts (pass rate)."""
+        """Fraction of ``rows`` this criterion accepts (pass rate).
+
+        One :meth:`evaluate_column` over a table of the rows' cells: the
+        criterion runs once per distinct cache key, where a per-row
+        :meth:`check` loop would copy and key every row.
+        """
         if not rows:
             return 0.0
-        passed = sum(1 for row in rows if self.check(row))
-        return passed / len(rows)
+        verdicts = self.evaluate_column(self._table_of(rows))
+        return int(np.count_nonzero(verdicts)) / len(rows)
+
+    def _table_of(
+        self,
+        rows: Sequence[Mapping[str, str]],
+        values: Sequence[str] | None = None,
+    ) -> Table:
+        """The rows' ``attr`` (or ``values``) and ``context_attrs``
+        cells as a table; a missing cell reads as empty, as in
+        :meth:`_row_key`."""
+        names = list(dict.fromkeys([self.attr, *self.context_attrs]))
+        columns = {a: [row.get(a, "") for row in rows] for a in names}
+        if values is not None:
+            columns[self.attr] = list(values)
+        return Table(names, columns)
 
 
 def compile_criteria(attr: str, specs: Sequence[Mapping]) -> list[Criterion]:

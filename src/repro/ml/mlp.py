@@ -6,28 +6,39 @@ NumPy implementation with mini-batching, class weighting (dirty cells
 are the minority class even after augmentation) and early stopping on
 training loss plateau.
 
-Two execution engines share one training loop:
+Two execution engines share one training loop.  All six parameter
+tensors live as views into one flat vector; Adam's moments and
+temporaries are preallocated once and every update runs in place.  The
+forward/backward step is bound once per batch shape in ``fit`` (the
+full batch and the ragged tail): its buffers, transposes and flat
+logits view exist before the first step, so a step is only its NumPy
+calls, each keeping the seed implementation's operands and order.
 
-* ``exact`` (default) — float64 with a *buffer-reusing* Adam step: all
-  six parameter tensors live as views into one flat vector, moments and
-  temporaries are preallocated once, and every update runs in place in
-  the seed implementation's exact operation order, so the trained
-  parameters are **bitwise identical** to the historical per-key
-  dict-of-arrays loop (elementwise IEEE ops have no cross-element
-  interaction, and each multiply/add keeps its original operands).
+* ``exact`` (default) — float64: the trained parameters are **bitwise
+  identical** to the historical per-key dict-of-arrays loop
+  (elementwise IEEE ops have no cross-element interaction, and each
+  multiply/add keeps its original operands).
 * ``fast`` (opt-in) — the same loop in float32: roughly twice the GEMM
   throughput on AVX2 hardware, deterministic under the seed, but
   probabilities (hence downstream masks) may shift within the parity
   band recorded in ``tests/test_step34_engine.py``.
 
+``tests/_reference_step34.py`` keeps both earlier trainers — the seed's
+dict-of-arrays loop and the flat trainer that looked its buffers up by
+name every step.  The tests pin the exact engine to both and the fast
+engine to the flat one, bitwise.
+
 ``predict_proba`` is one forward pass in the model's dtype over the rows
 it is given; callers bound its memory by the rows they pass
 (``ErrorDetector.predict`` passes unique-key blocks).  It reuses
 caller-provided workspace buffers, one set per ``(rows, hidden)`` shape,
-shared across a table's attributes.
+shared across a table's attributes, and the training step's sigmoid.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -97,6 +108,13 @@ class MLPClassifier:
             raise ValueError(
                 f"engine must be one of {MLP_ENGINES}, got {engine!r}"
             )
+        for name, value in (
+            ("hidden", hidden), ("epochs", epochs), ("batch_size", batch_size)
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr}")
         self.hidden = hidden
         self.epochs = epochs
         self.batch_size = batch_size
@@ -141,8 +159,6 @@ class MLPClassifier:
             if not np.all(sample_weight > 0):
                 raise ValueError("sample_weight entries must be positive")
         n, d = x.shape
-        h = self.hidden
-        dtype = self._dtype
         flat, views = self._init_flat_params(d)
         weights = self._sample_weights(y, sample_weight)
         # Adam state and temporaries: one flat float vector per role,
@@ -150,16 +166,18 @@ class MLPClassifier:
         moment1 = np.zeros_like(flat)
         moment2 = np.zeros_like(flat)
         grad_flat = np.empty_like(flat)
-        grads = _views_into(grad_flat, d, h)
+        grads = _views_into(grad_flat, d, self.hidden)
         tmp = np.empty_like(flat)
         tmp2 = np.empty_like(flat)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         lr = self.lr
-        batch = min(self.batch_size, n)
-        ws = Workspace()
-        xb = ws.get("xb", (batch, d), dtype)
-        yb = ws.get("yb", (batch,), dtype)
-        wb = ws.get("wb", (batch,), dtype)
+        batch_size = self.batch_size
+        # One bound step per batch shape: the full batch and, when n is
+        # not a multiple of the batch size, the ragged tail.
+        steps = {
+            nb: _bind_step(nb, views, grads)
+            for nb in {min(batch_size, n), n % batch_size} - {0}
+        }
         step = 0
         best_loss = np.inf
         stale = 0
@@ -167,16 +185,10 @@ class MLPClassifier:
         for _epoch in range(self.epochs):
             order = self._rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
                 nb = len(idx)
-                np.take(x, idx, axis=0, out=xb[:nb])
-                np.take(y, idx, out=yb[:nb])
-                np.take(weights, idx, out=wb[:nb])
-                loss = _forward_backward_ws(
-                    views, grads, xb[:nb], yb[:nb], wb[:nb], ws
-                )
-                epoch_loss += loss * nb
+                epoch_loss += steps[nb](x, y, weights, idx) * nb
                 step += 1
                 # Adam, in place, in the seed implementation's exact
                 # operation order (each line's comment is the historical
@@ -349,84 +361,111 @@ def _views_into(flat: np.ndarray, d: int, h: int) -> dict[str, np.ndarray]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function of ``z``, in its dtype.
 
-
-def _forward_backward_ws(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    ws: Workspace,
-) -> float:
-    """Weighted BCE loss + gradients for one batch, into ``grads``.
-
-    Allocation-free reformulation of the historical forward/backward:
-    every array lands in a workspace buffer and every elementwise op
-    runs in place, but each operation keeps the seed implementation's
-    operands and order, so losses and gradients are bitwise identical
-    (the ReLU masks use post-activation values — ``h > 0`` and
-    ``z > 0`` agree everywhere, including at 0 and NaN).
+    ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere, with
+    ``e = exp(-|z|)``: each element gets the same ``exp`` argument and
+    the same division as the branch-per-sign form that indexes the two
+    halves apart (kept in ``tests/`` as the reference), so the bits are
+    equal, without boolean indexing.
     """
-    n, d = x.shape
-    h = params["w2"].shape[0]
-    dtype = x.dtype
-    z1 = ws.get("z1", (n, h), dtype)
-    z2 = ws.get("z2", (n, h), dtype)
-    lg = ws.get("lg", (n, 1), dtype)
-    mask = ws.get("mask", (n, h), np.bool_)
-    t1 = ws.get("t1", (n,), dtype)
-    t2 = ws.get("t2", (n,), dtype)
-    t3 = ws.get("t3", (n,), dtype)
-    # Forward: z1/z2 hold the post-ReLU activations (h1/h2).
-    np.matmul(x, params["w1"], out=z1)
-    z1 += params["b1"]                       # x @ w1 + b1
-    np.maximum(z1, 0.0, out=z1)              # h1
-    np.matmul(z1, params["w2"], out=z2)
-    z2 += params["b2"]
-    np.maximum(z2, 0.0, out=z2)              # h2
-    np.matmul(z2, params["w3"], out=lg)
-    lg += params["b3"]                       # logits
-    logits = lg.ravel()
-    p = _sigmoid(logits)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _bind_step(
+    n: int, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float]:
+    """The training step for batches of ``n`` rows.
+
+    Returns ``step(x, y, weights, idx) -> loss``: it gathers rows
+    ``idx`` (``n`` of them) into its own buffers, then writes the
+    weighted BCE gradients of that batch into ``grads`` and returns the
+    batch loss.  Buffers, transposes and the flat logits view are bound
+    here once, so a step is only the NumPy calls themselves.  Each call
+    keeps the seed implementation's operands and order, so losses and
+    gradients are bitwise identical to it:
+
+    * the ``(n, 1) @ (1, h)`` outer product is an elementwise multiply
+      plus ``+= 0.0`` — matmul's loop computes ``0 + a*b``, which turns
+      ``-0`` into ``+0``;
+    * the ReLU masks use post-activation values (``h > 0`` and
+      ``z > 0`` agree everywhere, including at 0 and NaN);
+    * ``np.add.reduce`` is the reduction the ``np.sum``/``np.mean``
+      wrappers call (a float32 mean divides in float64 and rounds once
+      more, which equals the float32 quotient).
+    """
+    w1, b1, w2, b2, w3, b3 = (params[key] for key in _PARAM_KEYS)
+    gw1, gb1, gw2, gb2, gw3, gb3 = (grads[key] for key in _PARAM_KEYS)
+    d, h = w1.shape
+    dtype = w1.dtype
+    xb = np.empty((n, d), dtype)
+    yb = np.empty(n, dtype)
+    wb = np.empty(n, dtype)
+    z1 = np.empty((n, h), dtype)            # z1/z2 hold post-ReLU h1/h2
+    z2 = np.empty((n, h), dtype)
+    dh1 = np.empty((n, h), dtype)
+    dh2 = np.empty((n, h), dtype)
+    mask = np.empty((n, h), np.bool_)
+    lg = np.empty((n, 1), dtype)
+    logits = lg.reshape(n)
+    t1 = np.empty(n, dtype)
+    t2 = np.empty(n, dtype)
+    t3 = np.empty(n, dtype)
+    p_clip = np.empty(n, dtype)
+    dlogits = t1.reshape(n, 1)
+    xb_t, z1_t, z2_t, w2_t, w3_t = xb.T, z1.T, z2.T, w2.T, w3.T
     # The float64 bound is the historical 1e-9 (bitwise-preserved); in
     # float32 `1 - 1e-9` rounds to exactly 1.0 and log(1 - p) would hit
     # -inf, so the fast engine clips at its own representable margin.
     lo = 1e-9 if dtype == np.float64 else 1e-6
-    p_clip = np.clip(p, lo, 1.0 - lo)
-    # loss = -mean(w * (y*log(p) + (1-y)*log(1-p))), original op order.
-    np.log(p_clip, out=t1)
-    t1 *= y                                  # y * log(p_clip)
-    np.subtract(1.0, y, out=t2)              # 1 - y
-    np.subtract(1.0, p_clip, out=t3)
-    np.log(t3, out=t3)
-    t3 *= t2                                 # (1 - y) * log(1 - p_clip)
-    t1 += t3
-    t1 *= w                                  # w * (...)
-    loss = float(-np.mean(t1))
-    # dlogits = (w * (p - y) / n)[:, None]
-    np.subtract(p, y, out=t1)
-    t1 *= w                                  # w * (p - y)
-    t1 /= n
-    dlogits = t1.reshape(n, 1)
-    dh2 = ws.get("dh2", (n, h), dtype)
-    dh1 = ws.get("dh1", (n, h), dtype)
-    np.matmul(z2.T, dlogits, out=grads["w3"])     # h2.T @ dlogits
-    np.sum(dlogits, axis=0, out=grads["b3"])
-    np.matmul(dlogits, params["w3"].T, out=dh2)
-    np.greater(z2, 0, out=mask)
-    dh2 *= mask                                   # dz2 = dh2 * (z2 > 0)
-    np.matmul(z1.T, dh2, out=grads["w2"])         # h1.T @ dz2
-    np.sum(dh2, axis=0, out=grads["b2"])
-    np.matmul(dh2, params["w2"].T, out=dh1)
-    np.greater(z1, 0, out=mask)
-    dh1 *= mask                                   # dz1 = dh1 * (z1 > 0)
-    np.matmul(x.T, dh1, out=grads["w1"])          # x.T @ dz1
-    np.sum(dh1, axis=0, out=grads["b1"])
-    return loss
+    hi = 1.0 - lo
+
+    def step(x, y, weights, idx) -> float:
+        nonlocal z1, z2, lg, t1, t3, dh1, dh2    # updated in place by `+=`
+        # idx is a slice of a permutation, always in range: 'clip'
+        # skips the copy-and-write-back that mode='raise' makes of `out`.
+        x.take(idx, axis=0, out=xb, mode="clip")
+        y.take(idx, out=yb, mode="clip")
+        weights.take(idx, out=wb, mode="clip")
+        np.matmul(xb, w1, out=z1)
+        z1 += b1                                 # x @ w1 + b1
+        np.maximum(z1, 0.0, out=z1)              # h1
+        np.matmul(z1, w2, out=z2)
+        z2 += b2
+        np.maximum(z2, 0.0, out=z2)              # h2
+        np.matmul(z2, w3, out=lg)
+        lg += b3                                 # logits
+        p = _sigmoid(logits)
+        np.maximum(p, lo, out=p_clip)            # np.clip(p, lo, hi), the
+        np.minimum(p_clip, hi, out=p_clip)       # same bits, no wrapper
+        # loss = -mean(w * (y*log(p) + (1-y)*log(1-p))), original op order.
+        np.log(p_clip, out=t1)
+        t1 *= yb                                 # y * log(p_clip)
+        np.subtract(1.0, yb, out=t2)             # 1 - y
+        np.subtract(1.0, p_clip, out=t3)
+        np.log(t3, out=t3)
+        t3 *= t2                                 # (1 - y) * log(1 - p_clip)
+        t1 += t3
+        t1 *= wb                                 # w * (...)
+        loss = float(-(np.add.reduce(t1) / n))
+        # dlogits = (w * (p - y) / n)[:, None]
+        np.subtract(p, yb, out=t1)
+        t1 *= wb
+        t1 /= n
+        np.matmul(z2_t, dlogits, out=gw3)        # h2.T @ dlogits
+        np.add.reduce(dlogits, axis=0, out=gb3)
+        np.multiply(dlogits, w3_t, out=dh2)      # dlogits @ w3.T
+        dh2 += 0.0
+        np.greater(z2, 0, out=mask)
+        dh2 *= mask                              # dz2 = dh2 * (z2 > 0)
+        np.matmul(z1_t, dh2, out=gw2)            # h1.T @ dz2
+        np.add.reduce(dh2, axis=0, out=gb2)
+        np.matmul(dh2, w2_t, out=dh1)
+        np.greater(z1, 0, out=mask)
+        dh1 *= mask                              # dz1 = dh1 * (z1 > 0)
+        np.matmul(xb_t, dh1, out=gw1)            # x.T @ dz1
+        np.add.reduce(dh1, axis=0, out=gb1)
+        return loss
+
+    return step

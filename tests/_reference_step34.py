@@ -5,7 +5,9 @@ rewrites (interned criteria verification, group-by label propagation,
 flat in-place Adam) can be pinned against the historical behaviour:
 identical propagated dicts (including insertion order), identical
 criteria keep/drop decisions, and bitwise-identical trained MLP
-parameters.
+parameters.  ``ReferenceFlatMLP`` is the later flat trainer as it was
+before its step was bound once per batch shape; both detector engines
+are pinned to it bitwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.criteria import Criterion
+from repro.ml.mlp import MLPClassifier, Workspace, _views_into
 from repro.ml.rng import RngLike, as_generator
 
 
@@ -59,7 +62,11 @@ def reference_verify_criteria(
     row_dicts = [row for _, row in right_rows]
     refined, trusted = [], []
     for crit in criteria:
-        accuracy = crit.accuracy_on(row_dicts)
+        # The seed's per-row pass rate (``accuracy_on`` before it folded).
+        accuracy = (
+            sum(1 for r in row_dicts if crit.check(r)) / len(row_dicts)
+            if row_dicts else 0.0
+        )
         if accuracy >= config.criteria_accuracy_threshold:
             refined.append(crit)
             if accuracy >= config.data_verify_accuracy:
@@ -206,3 +213,173 @@ def _reference_forward_backward(params, x, y, w):
     grads["w1"] = x.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     return loss, grads
+
+
+class ReferenceFlatMLP(MLPClassifier):
+    """The flat in-place Adam trainer whose step looked every buffer up
+    in a ``Workspace`` by name, kept verbatim.
+
+    Its ``fit`` loop and forward/backward are the retained copy; the
+    parameter layout, initialisation and class weights are the
+    classifier's own (unchanged).  Its sigmoid was
+    :func:`_reference_sigmoid`, character for character.
+    """
+
+    def fit(self, x, y, sample_weight=None):
+        x = np.ascontiguousarray(x, dtype=self._dtype)
+        y = np.asarray(y, dtype=self._dtype).ravel()
+        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ValueError("x must be 2-D and aligned with y")
+        if x.shape[0] == 0:
+            raise ValueError("cannot fit on an empty training set")
+        if sample_weight is not None:
+            sample_weight = np.asarray(
+                sample_weight, dtype=self._dtype
+            ).ravel()
+            if sample_weight.shape != y.shape:
+                raise ValueError("sample_weight must align with y")
+            if not np.all(sample_weight > 0):
+                raise ValueError("sample_weight entries must be positive")
+        n, d = x.shape
+        h = self.hidden
+        dtype = self._dtype
+        flat, views = self._init_flat_params(d)
+        weights = self._sample_weights(y, sample_weight)
+        # Adam state and temporaries: one flat float vector per role,
+        # allocated once and updated in place every step.
+        moment1 = np.zeros_like(flat)
+        moment2 = np.zeros_like(flat)
+        grad_flat = np.empty_like(flat)
+        grads = _views_into(grad_flat, d, h)
+        tmp = np.empty_like(flat)
+        tmp2 = np.empty_like(flat)
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        lr = self.lr
+        batch = min(self.batch_size, n)
+        ws = Workspace()
+        xb = ws.get("xb", (batch, d), dtype)
+        yb = ws.get("yb", (batch,), dtype)
+        wb = ws.get("wb", (batch,), dtype)
+        step = 0
+        best_loss = np.inf
+        stale = 0
+        self.loss_history_ = []
+        for _epoch in range(self.epochs):
+            order = self._rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, self.batch_size):
+                idx = order[start : start + self.batch_size]
+                nb = len(idx)
+                np.take(x, idx, axis=0, out=xb[:nb])
+                np.take(y, idx, out=yb[:nb])
+                np.take(weights, idx, out=wb[:nb])
+                loss = _reference_forward_backward_ws(
+                    views, grads, xb[:nb], yb[:nb], wb[:nb], ws
+                )
+                epoch_loss += loss * nb
+                step += 1
+                # Adam, in place, in the seed implementation's exact
+                # operation order (each line's comment is the historical
+                # expression it reproduces bitwise).
+                moment1 *= beta1                    # beta1 * m
+                np.multiply(grad_flat, 1.0 - beta1, out=tmp)
+                moment1 += tmp                      # ... + (1 - beta1) * g
+                moment2 *= beta2                    # beta2 * v
+                np.multiply(grad_flat, 1.0 - beta2, out=tmp)
+                tmp *= grad_flat                    # (1 - beta2) * g * g
+                moment2 += tmp
+                np.divide(moment1, 1.0 - beta1**step, out=tmp)   # m_hat
+                np.divide(moment2, 1.0 - beta2**step, out=tmp2)  # v_hat
+                np.sqrt(tmp2, out=tmp2)
+                tmp2 += eps                         # sqrt(v_hat) + eps
+                tmp *= lr                           # lr * m_hat
+                tmp /= tmp2
+                flat -= tmp                         # params -= update
+            epoch_loss /= n
+            self.loss_history_.append(epoch_loss)
+            if epoch_loss < best_loss - 1e-5:
+                best_loss = epoch_loss
+                stale = 0
+            else:
+                stale += 1
+                if stale >= self.patience:
+                    break
+        self._params = views
+        self._flat = flat
+        self.n_features_ = d
+        return self
+
+
+def _reference_forward_backward_ws(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    ws: Workspace,
+) -> float:
+    """Weighted BCE loss + gradients for one batch, into ``grads``.
+
+    Allocation-free reformulation of the historical forward/backward:
+    every array lands in a workspace buffer and every elementwise op
+    runs in place, but each operation keeps the seed implementation's
+    operands and order, so losses and gradients are bitwise identical
+    (the ReLU masks use post-activation values — ``h > 0`` and
+    ``z > 0`` agree everywhere, including at 0 and NaN).
+    """
+    n, d = x.shape
+    h = params["w2"].shape[0]
+    dtype = x.dtype
+    z1 = ws.get("z1", (n, h), dtype)
+    z2 = ws.get("z2", (n, h), dtype)
+    lg = ws.get("lg", (n, 1), dtype)
+    mask = ws.get("mask", (n, h), np.bool_)
+    t1 = ws.get("t1", (n,), dtype)
+    t2 = ws.get("t2", (n,), dtype)
+    t3 = ws.get("t3", (n,), dtype)
+    # Forward: z1/z2 hold the post-ReLU activations (h1/h2).
+    np.matmul(x, params["w1"], out=z1)
+    z1 += params["b1"]                       # x @ w1 + b1
+    np.maximum(z1, 0.0, out=z1)              # h1
+    np.matmul(z1, params["w2"], out=z2)
+    z2 += params["b2"]
+    np.maximum(z2, 0.0, out=z2)              # h2
+    np.matmul(z2, params["w3"], out=lg)
+    lg += params["b3"]                       # logits
+    logits = lg.ravel()
+    p = _reference_sigmoid(logits)
+    # The float64 bound is the historical 1e-9 (bitwise-preserved); in
+    # float32 `1 - 1e-9` rounds to exactly 1.0 and log(1 - p) would hit
+    # -inf, so the fast engine clips at its own representable margin.
+    lo = 1e-9 if dtype == np.float64 else 1e-6
+    p_clip = np.clip(p, lo, 1.0 - lo)
+    # loss = -mean(w * (y*log(p) + (1-y)*log(1-p))), original op order.
+    np.log(p_clip, out=t1)
+    t1 *= y                                  # y * log(p_clip)
+    np.subtract(1.0, y, out=t2)              # 1 - y
+    np.subtract(1.0, p_clip, out=t3)
+    np.log(t3, out=t3)
+    t3 *= t2                                 # (1 - y) * log(1 - p_clip)
+    t1 += t3
+    t1 *= w                                  # w * (...)
+    loss = float(-np.mean(t1))
+    # dlogits = (w * (p - y) / n)[:, None]
+    np.subtract(p, y, out=t1)
+    t1 *= w                                  # w * (p - y)
+    t1 /= n
+    dlogits = t1.reshape(n, 1)
+    dh2 = ws.get("dh2", (n, h), dtype)
+    dh1 = ws.get("dh1", (n, h), dtype)
+    np.matmul(z2.T, dlogits, out=grads["w3"])     # h2.T @ dlogits
+    np.sum(dlogits, axis=0, out=grads["b3"])
+    np.matmul(dlogits, params["w3"].T, out=dh2)
+    np.greater(z2, 0, out=mask)
+    dh2 *= mask                                   # dz2 = dh2 * (z2 > 0)
+    np.matmul(z1.T, dh2, out=grads["w2"])         # h1.T @ dz2
+    np.sum(dh2, axis=0, out=grads["b2"])
+    np.matmul(dh2, params["w2"].T, out=dh1)
+    np.greater(z1, 0, out=mask)
+    dh1 *= mask                                   # dz1 = dh1 * (z1 > 0)
+    np.matmul(x.T, dh1, out=grads["w1"])          # x.T @ dz1
+    np.sum(dh1, axis=0, out=grads["b1"])
+    return loss

@@ -109,6 +109,79 @@ def is_clean_match(row, attr):
         assert crit.accuracy_on([]) == 0.0
 
 
+MATCHES_OTHER = '''
+def is_clean_match(row, attr):
+    return row.get(attr, "") == row.get("other", "")
+'''
+
+POSITIVE_INT = '''
+def is_clean_positive(row, attr):
+    return int(row[attr]) > 0
+'''
+
+
+class TestAccuracyOnFold:
+    """``accuracy_on`` is one ``evaluate_column`` fold; it must equal
+    the per-row ``check`` loop it replaced."""
+
+    ROWS = [
+        {"x": "a", "other": "a"},
+        {"x": "a", "other": "b"},
+        {"x": "b", "other": "b", "unrelated": "z"},
+        {"x": ""},                          # no context cell: reads ""
+        {"x": "a"},
+        {"x": "a", "other": "a"},
+        {"x": "7", "other": ""},
+    ]
+
+    @staticmethod
+    def make(name, source, context=()):
+        return Criterion.from_spec(
+            "x",
+            {"name": name, "source": source, "context_attrs": list(context)},
+        )
+
+    @staticmethod
+    def per_row(crit, rows):
+        return sum(1 for r in rows if crit.check(r)) / len(rows)
+
+    @pytest.mark.parametrize(
+        "name,source,context",
+        [
+            ("is_clean_match", MATCHES_OTHER, ["other"]),
+            ("is_clean_upper", GOOD, []),
+            ("is_clean_positive", POSITIVE_INT, []),   # raises on most
+            ("is_clean_boom", RAISES, ["other"]),      # always raises
+        ],
+    )
+    def test_equals_per_row_loop(self, name, source, context):
+        rows = [dict(r) for r in self.ROWS]
+        folded = self.make(name, source, context).accuracy_on(rows)
+        looped = self.per_row(self.make(name, source, context), rows)
+        assert folded == looped
+        assert rows == self.ROWS                     # rows not mutated
+
+    def test_empty_rows(self):
+        assert self.make("is_clean_upper", GOOD).accuracy_on([]) == 0.0
+
+    def test_runs_once_per_distinct_key_without_per_row_checks(self):
+        crit = self.make("is_clean_match", MATCHES_OTHER, ["other"])
+        calls, checks = [], []
+        fn = crit._fn
+        crit._fn = lambda row, attr: calls.append(1) or fn(row, attr)
+        crit.check = lambda row: checks.append(1) or Criterion.check(crit, row)
+        rows = self.ROWS * 50
+        expected = self.per_row(
+            self.make("is_clean_match", MATCHES_OTHER, ["other"]), rows
+        )
+        assert crit.accuracy_on(rows) == expected
+        keys = {(r.get("x", ""), r.get("other", "")) for r in rows}
+        assert len(calls) == len(keys)
+        assert checks == []                          # no row-by-row pass
+        crit.accuracy_on(rows)                       # cached verdicts
+        assert len(calls) == len(keys)
+
+
 class TestCompileCriteria:
     def test_skips_broken_sources(self):
         specs = [

@@ -127,6 +127,25 @@ class TestMLP:
         clf = MLPClassifier(epochs=30, seed=0).fit(x, y)
         assert clf.loss_history_[-1] < clf.loss_history_[0]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"hidden": 0},
+            {"epochs": 0},
+            {"epochs": -3},
+            {"batch_size": 0},
+            {"lr": 0.0},
+            {"lr": -1.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+        ],
+    )
+    def test_invalid_settings_rejected(self, bad):
+        # An untrained (epochs=0, lr=0) or ascending (lr<0) model would
+        # otherwise score every cell; hidden=0 died in He init.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            MLPClassifier(**bad)
+
 
 class TestMetrics:
     def test_perfect(self):

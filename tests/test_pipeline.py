@@ -90,6 +90,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ZeroEDConfig(clustering="spectral")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mlp_hidden": 0},
+            {"mlp_epochs": 0},
+            {"mlp_lr": 0.0},
+            {"mlp_lr": -1.0},
+            {"mlp_lr": float("nan")},
+            {"mlp_lr": float("inf")},
+        ],
+    )
+    def test_invalid_mlp_settings(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ZeroEDConfig(**bad)
+
+    def test_invalid_mlp_setting_fails_before_any_llm_call(
+        self, small_hospital, llm
+    ):
+        # mlp_hidden=0 used to spend the whole fit's tokens and then die
+        # in He initialisation.
+        with pytest.raises(ConfigError, match="mlp_hidden"):
+            ZeroED(ZeroEDConfig(seed=0), llm=llm, mlp_hidden=0).fit(
+                small_hospital.dirty
+            )
+        assert llm.ledger.summary()["total_tokens"] == 0
+
     def test_clusters_for_budget(self):
         config = ZeroEDConfig(label_rate=0.05)
         assert config.clusters_for(1000) == 50

@@ -16,6 +16,11 @@ implementations (``tests/_reference_step34.py``):
 * the flat in-place Adam trainer — bitwise-identical parameters, loss
   history and probabilities versus the seed dict-of-arrays loop; the
   workspace-buffered prediction path returns identical results;
+* its bound per-shape step — on both engines, bitwise-identical
+  parameters and loss history versus the flat trainer it replaced
+  (``ReferenceFlatMLP``), also on the training sets of a real
+  fast-engine fit; the shared sigmoid equals the branch-per-sign
+  reference bit for bit;
 * the detector engines — on both, duplicate feature rows get one
   verdict, the one a forward pass over every row gives; the opt-in
   ``detector_engine="fast"`` is deterministic and its downstream
@@ -23,6 +28,8 @@ implementations (``tests/_reference_step34.py``):
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -50,11 +57,14 @@ from repro.errors import ConfigError
 from repro.llm.simulated import codegen
 from repro.llm.simulated.engine import SimulatedLLM
 from repro.ml.metrics import score_masks
-from repro.ml.mlp import MLPClassifier, Workspace
+from repro.ml.mlp import MLP_ENGINES, MLPClassifier, Workspace, _sigmoid
+from repro.ml.rng import as_generator
 from repro.ml.scaler import StandardScaler
 
 from _reference_step34 import (
+    ReferenceFlatMLP,
     ReferenceMLPClassifier,
+    _reference_sigmoid,
     reference_context_row,
     reference_propagate_labels,
 )
@@ -388,7 +398,10 @@ def reference_verify_attribute(
         merged.setdefault(crit.name, crit)
     refined, trusted = [], []
     for crit in merged.values():
-        accuracy = crit.accuracy_on(row_dicts)
+        accuracy = (
+            sum(1 for r in row_dicts if crit.check(r)) / len(row_dicts)
+            if row_dicts else 0.0
+        )
         if accuracy >= config.criteria_accuracy_threshold:
             refined.append(crit)
             outcome.n_criteria_kept += 1
@@ -627,6 +640,131 @@ class TestExactTrainerBitwise:
         b = ws.get("z", (4, 3), np.float64)
         c = ws.get("z", (5, 3), np.float64)
         assert a is b and a is not c
+
+
+# ----------------------------------------------------------------------
+# Bound-step trainer: bitwise equivalence with the flat trainer it
+# replaced, on both engines
+# ----------------------------------------------------------------------
+def assert_same_training(new, ref):
+    assert new.loss_history_ == ref.loss_history_
+    assert (
+        new.export_flat_params().tobytes()
+        == ref.export_flat_params().tobytes()
+    )
+
+
+def train_both(x, y, sample_weight=None, **settings):
+    seed = settings.pop("seed", 0)
+    new = MLPClassifier(
+        seed=copy.deepcopy(as_generator(seed)), **settings
+    ).fit(x, y, sample_weight)
+    ref = ReferenceFlatMLP(
+        seed=copy.deepcopy(as_generator(seed)), **settings
+    ).fit(x, y, sample_weight)
+    return new, ref
+
+
+@pytest.fixture(scope="module")
+def fast_fit_training_sets():
+    """Every ``MLPClassifier.fit`` call of a small fast-engine fit."""
+    captured = []
+    real_fit = MLPClassifier.fit
+
+    def capture(self, x, y, sample_weight=None):
+        captured.append({
+            "settings": {
+                "hidden": self.hidden, "epochs": self.epochs,
+                "batch_size": self.batch_size, "lr": self.lr,
+                "class_weight": self.class_weight,
+                "patience": self.patience,
+            },
+            "seed": copy.deepcopy(self._rng),
+            "x": np.array(x), "y": np.array(y),
+            "sample_weight": (
+                None if sample_weight is None else np.array(sample_weight)
+            ),
+        })
+        return real_fit(self, x, y, sample_weight)
+
+    config = ZeroEDConfig(
+        seed=0, detector_engine="fast", label_rate=0.1, mlp_epochs=12,
+        criteria_sample_size=20,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MLPClassifier, "fit", capture)
+        ZeroED(config).fit(make_dataset("hospital", n_rows=160, seed=1).dirty)
+    return captured
+
+
+@pytest.mark.parametrize("engine", MLP_ENGINES)
+class TestBoundStepBitwise:
+    def test_balanced_blob(self, engine):
+        x, y = training_blob(seed=10)
+        assert_same_training(*train_both(
+            x, y, hidden=16, epochs=6, seed=7, engine=engine
+        ))
+
+    def test_sample_weight_path(self, engine):
+        x, y = training_blob(seed=11, n=400)
+        w = np.random.default_rng(11).integers(1, 5, len(y)).astype(float)
+        assert_same_training(*train_both(
+            x, y, w, hidden=16, epochs=6, seed=3, engine=engine
+        ))
+
+    def test_ragged_tail(self, engine):
+        x, y = training_blob(seed=12, n=301)
+        y[:280] = 0.0
+        new, ref = train_both(
+            x, y, hidden=8, epochs=5, batch_size=64, seed=11, engine=engine
+        )
+        assert_same_training(new, ref)
+
+    def test_single_batch(self, engine):
+        x, y = training_blob(seed=13, n=50)
+        assert_same_training(*train_both(
+            x, y, hidden=8, epochs=10, batch_size=128, seed=5, engine=engine
+        ))
+
+    def test_early_stop(self, engine):
+        # Noise labels and a large step: the loss plateaus early.
+        x, _ = training_blob(seed=14, n=200)
+        y = (np.random.default_rng(14).random(200) < 0.5).astype(float)
+        new, ref = train_both(
+            x, y, hidden=8, epochs=200, patience=3, lr=0.05, seed=0,
+            engine=engine,
+        )
+        assert len(new.loss_history_) < 200      # it did stop early
+        assert_same_training(new, ref)
+
+    def test_real_detector_training_sets(self, engine, fast_fit_training_sets):
+        assert len(fast_fit_training_sets) >= 5
+        for rec in fast_fit_training_sets:
+            assert_same_training(*train_both(
+                rec["x"], rec["y"], rec["sample_weight"],
+                seed=rec["seed"], engine=engine, **rec["settings"],
+            ))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_equals_reference(dtype):
+    # Scoring and training share the sigmoid; the reference is the
+    # branch-per-sign form that indexes z >= 0 and z < 0 apart.
+    info = np.finfo(dtype)
+    special = [
+        0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+        info.tiny, -info.tiny, 1e-30, -1e-30, 20.0, -20.0, 100.0,
+        -100.0, 1e4, -1e4, info.max, -info.max, np.inf, -np.inf,
+    ]
+    rng = np.random.default_rng(0)
+    spread = rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 4, 4096)
+    pool = np.concatenate([special, spread]).astype(dtype)
+    for length in (1, 3, 4096):
+        for start in range(len(special)):
+            z = pool[start : start + length]
+            got, want = _sigmoid(z), _reference_sigmoid(z)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (length, start)
 
 
 # ----------------------------------------------------------------------
